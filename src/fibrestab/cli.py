@@ -17,9 +17,7 @@ byte-identical bytes, with floats printed to 17 significant digits.
 import argparse
 import csv
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -169,12 +167,6 @@ def _parse_degrees(text):
         raise InputProblem(f"bad degree range {text!r}") from exc
 
 
-def _worker_count(n_jobs):
-    env = os.environ.get("FIBRESTAB_THREADS", "")
-    cap = int(env) if env.strip() else (os.cpu_count() or 1)
-    return max(1, min(n_jobs, cap))
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -261,11 +253,7 @@ def cmd_obstruct(cfg):
     if len(queries) == 1:
         payload = evaluate(queries[0]).to_json_dict()
     else:
-        # verdicts are pure functions of their query: evaluate in a pool,
-        # emit in input order
-        with ThreadPoolExecutor(max_workers=_worker_count(len(queries))) as pool:
-            verdicts = list(pool.map(evaluate, queries))
-        payload = [v.to_json_dict() for v in verdicts]
+        payload = [evaluate(q).to_json_dict() for q in queries]
     _emit(payload, cfg.output)
     return EXIT_OK
 

@@ -176,12 +176,7 @@ def boundary_matrix(complex_: SimplicialComplex, k) -> IntegerMatrix:
     del_0 maps onto the zero module, so k = 0 yields a 0 x (#vertices)
     matrix.  Raises DegreeOutOfRange outside 0..dimension.
     """
-    rows, cols, data = boundary_columns(complex_, k)
-    entries = [0] * (rows * cols)
-    for j, col in data.items():
-        for i, v in col.items():
-            entries[i * cols + j] = v
-    return IntegerMatrix(rows, cols, tuple(entries))
+    return IntegerMatrix.from_columns(*boundary_columns(complex_, k))
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,22 @@
 """Exact linear algebra over Z, Q and Z/p, plus finitely generated abelian groups.
 
 Everything here runs on arbitrary-precision Python ints, so no computation
-can silently overflow.  The three pillars:
+can silently overflow.  The pillars:
 
-* ``smith_normal_form`` -- Smith decomposition of an integer matrix with
-  unimodular witnesses L, R such that L @ A @ R = diag(d) (padded).
-* ``rank_over_field`` -- Gaussian elimination rank over Q (p = 0) or Z/p.
-  This is deliberately an independent code path from the Smith reduction so
-  the two can cross-check each other.
+* ``invariant_factors_sparse`` -- invariant factors of a sparse integer
+  matrix: unit pivots eliminated first, the small residue handed to
+  ``smith_normal_form``.  This is the production engine for homology over
+  every coefficient ring, since the field ranks of a matrix are read off
+  its invariant factors.
+* ``smith_normal_form`` -- dense Smith decomposition of an integer matrix
+  with unimodular witnesses L, R such that L @ A @ R = diag(d) (padded).
+* ``_eliminate`` -- Gaussian elimination over Q (p = 0) or Z/p on sparse
+  dict-rows.  It gives the echelon forms and kernels behind cycle bases,
+  ``matrix_rank`` for the small induced-map matrices, and
+  ``rank_over_field``, a route independent of the Smith reduction that the
+  tests play against it.
 * ``AbelianGroup`` -- invariant-factor form of a finitely generated abelian
   group, with direct sum, tensor and Tor.
-
-Matrices are tiny by numerical-linear-algebra standards (they come from
-desk-scale triangulations), so clarity beats asymptotics; the only
-concession to speed is a sparse elimination path for the larger boundary
-matrices (``invariant_factors`` dispatches automatically).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, prod
+from math import gcd, lcm, prod
 
 
 class CompositeModulus(ValueError):
@@ -60,6 +62,15 @@ class IntegerMatrix:
         if any(len(r) != n for r in rows):
             raise ValueError("ragged rows")
         return cls(m, n, tuple(int(x) for r in rows for x in r))
+
+    @classmethod
+    def from_columns(cls, rows, cols, data):
+        """Dense matrix of a sparse column map {j: {i: v}}."""
+        entries = [0] * (rows * cols)
+        for j, col in data.items():
+            for i, v in col.items():
+                entries[i * cols + j] = v
+        return cls(rows, cols, tuple(entries))
 
     @classmethod
     def identity(cls, n):
@@ -352,21 +363,6 @@ def invariant_factors_sparse(rows, cols, entries):
     return (1,) * ones + core.factors
 
 
-_SPARSE_CUTOFF = 3600  # dense work below this (rows*cols) stays dense
-
-
-def invariant_factors(a: IntegerMatrix) -> tuple:
-    """Invariant factors of ``a``, dispatching dense/sparse automatically."""
-    if a.rows * a.cols <= _SPARSE_CUTOFF:
-        return smith_normal_form(a).factors
-    triples = []
-    n = a.cols
-    for k, v in enumerate(a.entries):
-        if v:
-            triples.append((k // n, k % n, v))
-    return invariant_factors_sparse(a.rows, a.cols, triples)
-
-
 # ---------------------------------------------------------------------------
 # ranks and kernels over fields
 # ---------------------------------------------------------------------------
@@ -450,6 +446,27 @@ def _eliminate(rows, p):
             pivots.append((min(r), r))
     pivots.sort(key=lambda t: t[0])
     return pivots
+
+
+def matrix_rank(matrix, p):
+    """Rank of a tuple-of-tuples matrix of ints or Fractions over Q (p=0) or Z/p.
+
+    Each row is scaled by the lcm of its denominators, so the elimination
+    runs on ints.
+    """
+    rows = []
+    for r in matrix:
+        scale = lcm(*(v.denominator for v in r if isinstance(v, Fraction)))
+        d = {}
+        for j, v in enumerate(r):
+            w = int(v * scale)
+            if p:
+                w %= p
+            if w:
+                d[j] = w
+        if d:
+            rows.append(d)
+    return len(_eliminate(rows, p))
 
 
 def _back_substitute(pivots, p):
@@ -552,8 +569,6 @@ def kernel_of_columns(cols, ncols, p):
                 if v:
                     coeffs[pc] = Fraction(-v, r[pc])
             if coeffs:
-                from math import lcm
-
                 denom = lcm(*[f.denominator for f in coeffs.values()])
             vec = {j: denom}
             for pc, f in coeffs.items():

@@ -1,11 +1,13 @@
 """Simplicial homology over Z, Q and Z/p, with induced maps of inclusions.
 
-Over Z the engine reduces boundary operators to invariant factors (Smith
-machinery from ``exactalg``); over a field it uses rank-nullity with plain
-Gaussian elimination.  The two routes are algorithmically unrelated, which
-the test-suite exploits: universal coefficients says the field Betti
-numbers are determined by the integral answer, so any disagreement exposes
-a bug in one of the engines.
+One engine serves every coefficient ring: each boundary operator is
+reduced to its invariant factors (the sparse unit-pivot elimination and
+dense Smith core of ``exactalg``).  With L @ del @ R = diag(d) for
+unimodular L, R, the rank of del over Q is the number of factors and its
+rank over Z/p is the number of factors p does not divide, so the field
+Betti numbers come from the same factors as the integral groups (universal
+coefficients).  The tests check this engine against the independent
+Gaussian rank ``exactalg.rank_over_field``.
 
 Induced maps are computed at chain level with deterministic reduced-echelon
 cycle bases (lexicographically smallest pivots), so repeated runs produce
@@ -25,12 +27,13 @@ from .complexes import (
 from .exactalg import (
     AbelianGroup,
     CompositeModulus,
-    group_from_presentation,
+    IntegerMatrix,
+    _check_modulus,
     invariant_factors_sparse,
     kernel_of_columns,
+    matrix_rank,
     rref_rows,
     smith_normal_form,
-    IntegerMatrix,
 )
 
 
@@ -57,22 +60,14 @@ def parse_ring(ring):
             p = int(ring[2:])
         except ValueError:
             raise CompositeModulus(f"cannot parse modulus in {ring!r}") from None
-        _require_prime(p)
-        return f"Z/{p}", p
-    if isinstance(ring, int):
-        _require_prime(ring)
-        return f"Z/{ring}", ring
-    raise ValueError(f"unknown coefficient ring {ring!r}")
-
-
-def _require_prime(p):
-    if p < 2:
+    elif isinstance(ring, int):
+        p = ring
+    else:
+        raise ValueError(f"unknown coefficient ring {ring!r}")
+    if p < 2:  # _check_modulus would take 0 as Q
         raise CompositeModulus(f"modulus {p} is not prime")
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            raise CompositeModulus(f"modulus {p} is composite")
-        d += 1
+    _check_modulus(p)
+    return f"Z/{p}", p
 
 
 # ---------------------------------------------------------------------------
@@ -123,69 +118,39 @@ class HomologyProfile:
         return "[" + ", ".join(str(g) for g in self.groups) + "]"
 
 
+_SPARSE_CUTOFF = 3600  # boundary operators up to this many cells stay dense
+
+
 def _factors_of_columns(rows, cols, data):
     """Invariant factors of a sparse boundary operator."""
     if rows == 0 or cols == 0:
         return ()
-    if rows * cols <= 3600:
-        entries = [0] * (rows * cols)
-        for j, col in data.items():
-            for i, v in col.items():
-                entries[i * cols + j] = v
-        return smith_normal_form(IntegerMatrix(rows, cols, tuple(entries))).factors
+    if rows * cols <= _SPARSE_CUTOFF:
+        return smith_normal_form(IntegerMatrix.from_columns(rows, cols, data)).factors
     triples = [(i, j, v) for j, col in data.items() for i, v in col.items()]
     return invariant_factors_sparse(rows, cols, triples)
-
-
-def _rank_of_columns_mod(rows, cols, data, p):
-    """Field rank of a sparse boundary operator (p = 0 means Q)."""
-    if rows == 0 or cols == 0:
-        return 0
-    row_map = {}
-    for j, col in data.items():
-        for i, v in col.items():
-            if p:
-                v %= p
-            if v:
-                row_map.setdefault(i, {})[j] = v
-    from .exactalg import _eliminate
-
-    return len(_eliminate([dict(r) for r in row_map.values()], p))
 
 
 def _profile_from_boundaries(boundaries, label, modulus):
     """Assemble a profile from a list of (rows, cols, data) per degree.
 
     ``boundaries[k]`` is del_k; the chain group dimension in degree k is the
-    column count of del_k.
+    column count of del_k.  Over Z the factors above 1 of del_(k+1) are the
+    torsion of H_k; over Z/p a factor counts towards the rank only when p
+    does not divide it.
     """
     dim = len(boundaries) - 1
-    if modulus is None:
-        factors = [
-            _factors_of_columns(*boundaries[k]) if k >= 1 else ()
-            for k in range(dim + 1)
-        ]
-        groups = []
-        for k in range(dim + 1):
-            n_k = boundaries[k][1]
-            rank_k = len(factors[k]) if k >= 1 else 0
-            if k + 1 <= dim:
-                up = factors[k + 1]
-            else:
-                up = ()
-            free = n_k - rank_k - len(up)
-            torsion = [d for d in up if d > 1]
-            groups.append(AbelianGroup.from_cyclic_orders([0] * free + torsion))
-        return HomologyProfile(label, tuple(groups))
-    ranks = [
-        _rank_of_columns_mod(*boundaries[k], modulus) if k >= 1 else 0
-        for k in range(dim + 1)
-    ]
+    factors = [()] + [_factors_of_columns(*b) for b in boundaries[1:]] + [()]
+
+    def rank(fs):
+        return sum(1 for d in fs if d % modulus) if modulus else len(fs)
+
     groups = []
     for k in range(dim + 1):
-        n_k = boundaries[k][1]
-        up = ranks[k + 1] if k + 1 <= dim else 0
-        groups.append(AbelianGroup(n_k - ranks[k] - up))
+        up = factors[k + 1]
+        free = boundaries[k][1] - rank(factors[k]) - rank(up)
+        torsion = [d for d in up if d > 1] if modulus is None else []
+        groups.append(AbelianGroup.from_cyclic_orders([0] * free + torsion))
     return HomologyProfile(label, tuple(groups))
 
 
@@ -416,40 +381,8 @@ class InducedMap:
         return len(self.matrix)
 
     def rank(self):
-        rows = []
-        for r in self.matrix:
-            d = {}
-            for j, v in enumerate(r):
-                if v:
-                    d[j] = v if isinstance(v, int) else v
-            if d:
-                rows.append(d)
-        if not rows:
-            return 0
         p = 0 if self.ring == "Q" else int(self.ring[2:])
-        if p == 0:
-            rows = [
-                {
-                    j: v.numerator * 1
-                    if isinstance(v, Fraction) and v.denominator == 1
-                    else v
-                    for j, v in r.items()
-                }
-                for r in rows
-            ]
-            clean = []
-            for r in rows:
-                from math import lcm
-
-                denoms = [
-                    v.denominator for v in r.values() if isinstance(v, Fraction)
-                ]
-                scale = lcm(*denoms) if denoms else 1
-                clean.append({j: int(v * scale) for j, v in r.items()})
-            rows = clean
-        from .exactalg import _eliminate
-
-        return len(_eliminate(rows, p))
+        return matrix_rank(self.matrix, p)
 
 
 def homology_basis(complex_: SimplicialComplex, k, ring="Q") -> HomologyBasis:

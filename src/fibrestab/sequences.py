@@ -21,10 +21,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .complexes import SimplicialComplex, SimplicialPair, boundary_columns, product
-from .exactalg import AbelianGroup, _eliminate, tensor_product, tor_product
+from .exactalg import AbelianGroup, matrix_rank, tensor_product, tor_product
 from .homology import (
     HomologyBasis,
     boundary_columns as _bc,  # noqa: F401  (re-exported for callers)
@@ -84,33 +83,6 @@ class ExactnessReport:
             "iso_segments": [list(t) for t in self.iso_segments],
             "verdict": self.verdict,
         }
-
-
-def _int_rows(matrix):
-    """Clear denominators row-wise so field rank can run on ints."""
-    rows = []
-    for r in matrix:
-        denoms = [v.denominator for v in r if isinstance(v, Fraction)]
-        scale = lcm(*denoms) if denoms else 1
-        d = {}
-        for j, v in enumerate(r):
-            w = int(v * scale) if isinstance(v, Fraction) else int(v) * scale
-            if w:
-                d[j] = w
-        if d:
-            rows.append(d)
-    return rows
-
-
-def matrix_rank(matrix, p):
-    """Rank of a tuple-of-tuples matrix over Q (p=0) or Z/p."""
-    rows = _int_rows(matrix)
-    if p:
-        rows = [
-            {j: v % p for j, v in r.items() if v % p} for r in rows
-        ]
-        rows = [r for r in rows if r]
-    return len(_eliminate(rows, p))
 
 
 def _compose_zero(second, first, p):

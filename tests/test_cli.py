@@ -50,6 +50,14 @@ def test_homology_mod_2(capsys):
     assert [g["rank"] for g in blob["groups"]] == [1, 2, 1]
 
 
+@pytest.mark.parametrize("ring", ["Z/4", "Z/1", "Z/0"])
+def test_homology_rejects_non_prime_modulus(capsys, ring):
+    code, out, err = run_cli(capsys, "homology", "s1", "--ring", ring)
+    assert code == 2
+    assert out == ""
+    assert "modulus" in err
+
+
 def test_homology_from_file_matches_catalog(capsys, tmp_path):
     path = write_json(
         tmp_path / "torus.json", catalog("torus").to_json_dict("torus")
@@ -206,8 +214,7 @@ def test_obstruct_trivial_product_one_point(capsys, tmp_path):
     assert blob["route"] in ("direct", "derived")
 
 
-def test_obstruct_batch_keeps_input_order(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("FIBRESTAB_THREADS", "2")
+def test_obstruct_batch_keeps_input_order(capsys, tmp_path):
     q1 = write_json(
         tmp_path / "q1.json", {"M": "s2", "mode": "strong", "one_point": False}
     )

@@ -19,7 +19,6 @@ from fibrestab.exactalg import (
     CompositeModulus,
     IntegerMatrix,
     determinant,
-    invariant_factors,
     invariant_factors_sparse,
     kernel_basis_over_field,
     rank_over_field,
@@ -171,12 +170,6 @@ def test_sparse_engine_agrees_with_dense():
         expect = smith_normal_form(IntegerMatrix.from_rows(dense)).factors
         got = invariant_factors_sparse(m, n, triples)
         assert got == expect
-
-
-def test_invariant_factors_dispatch_consistent():
-    rng = random.Random(3)
-    a = random_matrix(rng, max_dim=8)
-    assert invariant_factors(a) == smith_normal_form(a).factors
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,14 @@
 """Homology engine tests.
 
 Catalog profiles are frozen here as hand-stated expectations (these are the
-standard groups of the named spaces); the integral engine (Smith reduction)
-and the field engine (Gaussian rank) are cross-checked through universal
-coefficients, which ties the two independent code paths together.
+standard groups of the named spaces).  One invariant-factor engine computes
+homology over every ring; its field Betti numbers are checked against the
+independent Gaussian rank ``rank_over_field`` of the boundary operators and
+against universal coefficients applied to the integral answer, and its
+dense/sparse dispatch against the dense Smith reduction.
 """
+
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -14,22 +18,31 @@ from fibrestab.complexes import (
     SimplicialComplex,
     SimplicialPair,
     barycentric_subdivision,
+    boundary_columns,
     catalog,
     cone,
     link,
     product,
     puncture,
 )
-from fibrestab.exactalg import AbelianGroup
+from fibrestab.exactalg import (
+    AbelianGroup,
+    IntegerMatrix,
+    rank_over_field,
+    smith_normal_form,
+)
 from fibrestab.homology import (
+    _SPARSE_CUTOFF,
     HomologyProfile,
     NotConnected,
+    _factors_of_columns,
     connected_components,
     homology,
     induced_map,
     is_connected,
     pi1_abelianized,
     reduced_profile,
+    relative_boundary_columns,
     relative_homology,
 )
 
@@ -74,13 +87,58 @@ def torsion_count(g, p):
     return sum(1 for d in g.torsion if d % p == 0)
 
 
+def betti(profile):
+    return [g.free_rank for g in profile.groups]
+
+
+def oracle_betti(boundaries, p):
+    """Field Betti numbers from Gaussian ranks of the boundary operators."""
+    ranks = [rank_over_field(IntegerMatrix.from_columns(*b), p) for b in boundaries]
+    ranks.append(0)
+    return [b[1] - ranks[k] - ranks[k + 1] for k, b in enumerate(boundaries)]
+
+
+@pytest.fixture(scope="module")
+def uct_cases():
+    """(name, homology over a ring, boundary operators) per space.
+
+    The products' del_2 (189 x 324) takes the sparse path; the punctured
+    pairs exercise relative homology.
+    """
+    spaces = [(name, catalog(name)) for name in EXPECTED_Z]
+    spaces += [
+        (f"{name} x s1", product(catalog(name), catalog("s1")))
+        for name in ("klein", "rp2")
+    ]
+    cases = [
+        (
+            name,
+            lambda ring, cx=cx: homology(cx, ring),
+            [boundary_columns(cx, k) for k in range(cx.dimension + 1)],
+        )
+        for name, cx in spaces
+    ]
+    for name in ("klein", "rp2"):
+        cx = catalog(name)
+        pair = SimplicialPair(cx, puncture(cx, 0))
+        cases.append(
+            (
+                f"({name}, {name} - star 0)",
+                lambda ring, pair=pair: relative_homology(pair, ring),
+                [relative_boundary_columns(pair, k) for k in range(cx.dimension + 1)],
+            )
+        )
+    return cases
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
-def test_universal_coefficients_ties_the_two_engines(p):
-    """dim H_k(X; Z/p) = rank H_k + p-torsion of H_k + p-torsion of H_{k-1}."""
-    for name in EXPECTED_Z:
-        zprof = homology(catalog(name), "Z")
-        fprof = homology(catalog(name), f"Z/{p}")
-        qprof = homology(catalog(name), "Q")
+def test_universal_coefficients_ties_the_two_engines(p, uct_cases):
+    """dim H_k(X; Z/p) = rank H_k + p-torsion of H_k + p-torsion of H_{k-1},
+    and the field Betti numbers equal those of the Gaussian-rank oracle."""
+    for name, hom, boundaries in uct_cases:
+        zprof = hom("Z")
+        fprof = hom(f"Z/{p}")
+        assert betti(fprof) == oracle_betti(boundaries, p), (name, p)
         for k in range(zprof.top_degree + 1):
             want = (
                 zprof.group(k).free_rank
@@ -88,7 +146,10 @@ def test_universal_coefficients_ties_the_two_engines(p):
                 + torsion_count(zprof.group(k - 1), p)
             )
             assert fprof.group(k).free_rank == want, (name, k, p)
-            assert qprof.group(k).free_rank == zprof.group(k).free_rank
+            assert not fprof.group(k).torsion
+        if p == 2:
+            qprof = hom("Q")
+            assert betti(qprof) == betti(zprof) == oracle_betti(boundaries, 0), name
 
 
 def test_degree_zero_rank_is_component_count():
@@ -243,11 +304,41 @@ def test_euler_characteristic_equals_alternating_betti():
 )
 def test_random_complexes_satisfy_euler_and_uct(facets):
     cx = SimplicialComplex(7, tuple(tuple(f) for f in facets))
+    boundaries = [boundary_columns(cx, k) for k in range(cx.dimension + 1)]
     zprof = homology(cx, "Z")
     qprof = homology(cx, "Q")
     assert zprof.group(0).free_rank == connected_components(cx)
-    for k in range(zprof.top_degree + 1):
-        assert qprof.group(k).free_rank == zprof.group(k).free_rank
+    chi = sum((-1) ** k * b for k, b in enumerate(betti(qprof)))
+    assert chi == cx.euler_characteristic()
+    assert betti(qprof) == betti(zprof)
+    for p in (2, 3):
+        fprof = homology(cx, f"Z/{p}")
+        assert betti(fprof) == oracle_betti(boundaries, p), p
+        for k in range(zprof.top_degree + 1):
+            assert fprof.group(k).free_rank == (
+                zprof.group(k).free_rank
+                + torsion_count(zprof.group(k), p)
+                + torsion_count(zprof.group(k - 1), p)
+            )
+
+
+def test_factors_of_columns_match_dense_smith_across_cutoff():
+    """The dense/sparse dispatch returns the dense Smith factors on both
+    sides of the cutoff."""
+    rng = random.Random(3)
+    side = 60  # side * side is the cutoff itself
+    shapes = [(0, 5), (5, 0), (7, 11), (side, side), (side, side + 1)]
+    shapes.append((side + 4, side + 9))
+    assert {r * c <= _SPARSE_CUTOFF for r, c in shapes} == {True, False}
+    for rows, cols in shapes:
+        data = {}
+        for j in range(cols):
+            picked = rng.sample(range(rows), min(rows, 3))
+            col = {i: rng.choice((1, -1, 1, -1, 2, -3)) for i in picked}
+            if col:
+                data[j] = col
+        want = smith_normal_form(IntegerMatrix.from_columns(rows, cols, data)).factors
+        assert _factors_of_columns(rows, cols, data) == want, (rows, cols)
 
 
 # -- induced maps ----------------------------------------------------------------
