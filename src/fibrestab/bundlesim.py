@@ -14,9 +14,15 @@ for a circle fibre).
 
 A closed-loop field consists of one plant ``f(angle, u)`` shared by both
 charts plus one controller per chart.  Everything downstream -- RK4
-integration with hysteresis chart switching, convergence taxonomy, basin
+integration with hysteresis chart switching, convergence classification, basin
 grids, and flow-induced retractions -- refuses to run until the chart
 compatibility residuals have been checked.
+
+Every convergence verdict -- a trajectory's terminal status, each cell of
+a basin grid, the retraction precheck -- comes from one vectorized
+classifier over the trailing samples of a batch of lanes: DIVERGED,
+CONVERGED_POINT (strong: the state reaches the target point),
+CONVERGED_FIBRE (weak: it reaches the target fibre) or TIMEOUT.
 """
 
 from __future__ import annotations
@@ -48,6 +54,9 @@ CONVERGED_POINT = "CONVERGED_POINT"
 CONVERGED_FIBRE = "CONVERGED_FIBRE"
 DIVERGED = "DIVERGED"
 TIMEOUT = "TIMEOUT"
+
+#: the status that counts as converged in each target mode
+_GOAL = {"strong": CONVERGED_POINT, "weak": CONVERGED_FIBRE}
 
 
 class CompatibilityNotVerified(RuntimeError):
@@ -700,7 +709,7 @@ def integrate(
     return replace(record, terminal_status=status)
 
 
-def classify_convergence(traj, system, mode="strong", eps=1e-3, dwell=1.0, target=None):
+def classify_convergence(traj, system, mode="strong", eps=1e-3, dwell=1.0):
     """Terminal status of a trajectory relative to the system's target.
 
     Strong mode asks the chart-aware distance to the target point to stay
@@ -710,34 +719,73 @@ def classify_convergence(traj, system, mode="strong", eps=1e-3, dwell=1.0, targe
     """
     if eps <= 0 or dwell <= 0:
         raise ValueError("eps and dwell must be positive")
-    if mode not in ("strong", "weak"):
+    if mode not in _GOAL:
         raise ValueError(f"unknown mode {mode!r}")
-    x_star, u_star = target if target is not None else (system.x_star, system.u_star)
-    tail = traj.tail(dwell)
+    _t, charts, angles, fibres = (np.array(col)[:, None] for col in zip(*traj.tail(dwell)))
+    chart = (charts == "B").astype(np.int8)
+    return str(_lane_statuses(system, chart, angles, fibres, mode, eps)[0])
+
+
+def _target_distances(system, chart, theta, u):
+    """Angle and point distances of chart-local samples to the target.
+
+    ``chart`` holds 0 (A) or 1 (B) per sample, shaped like ``theta`` and
+    ``u``.  The angle distance is to the target fibre; the point distance
+    is the max-metric distance to the target point, carried into chart B
+    with the transition sign of the overlap arc holding ``x_star``.  A
+    target on a seam has no chart-B image, so every chart-B sample is at
+    infinite point distance from it.
+    """
     atlas = system.atlas
-    if any(abs(u) > _DIVERGENCE_BOUND for _t, _c, _th, u in tail):
-        return DIVERGED
-    fibre_ok = all(
-        circle_distance(np.mod(theta, TWO_PI), x_star) < eps
-        for _t, _c, theta, _u in tail
+    ang = circle_distance(np.mod(theta, TWO_PI), system.x_star)
+    comp = atlas.overlap_component(system.x_star)
+    tau = 1 if comp is None else atlas.transition_sign(comp)
+    tgt_u = np.where(chart == 0, system.u_star, tau * system.u_star)
+    if atlas.fibre == "circle":
+        du = circle_distance(u, tgt_u)
+    else:
+        du = np.abs(u - tgt_u)
+    point = np.maximum(ang, du)
+    if comp is None:
+        point = np.where(chart == 0, point, np.inf)
+    return ang, point
+
+
+def _lane_statuses(system, chart, theta, u, mode, eps):
+    """Status of every lane of (tail samples x lanes) arrays.
+
+    A lane DIVERGED once a fibre coordinate passes the divergence bound;
+    otherwise it CONVERGED_POINT (strong mode only) when every sample is
+    within ``eps`` of the target point, CONVERGED_FIBRE when every sample
+    is within ``eps`` of the target fibre, and TIMEOUT when neither holds.
+    """
+    ang, point = _target_distances(system, chart, theta, u)
+    status = np.where(np.all(ang < eps, axis=0), CONVERGED_FIBRE, TIMEOUT)
+    if mode == "strong":
+        status = np.where(np.all(point < eps, axis=0), CONVERGED_POINT, status)
+    diverged = np.any(np.abs(u) > _DIVERGENCE_BOUND, axis=0)
+    return np.where(diverged, DIVERGED, status)
+
+
+def _tail_statuses(system, states, mode, eps, duration, step, dwell):
+    """Integrate normalized start states and classify each lane on its
+    trailing ``dwell`` window, sampled every 0.1 time units."""
+    n_steps = max(1, int(round(duration / step)))
+    tail_stride = max(1, int(round(0.1 / step)))
+    first_tail = max(0, n_steps - int(round(dwell / step)))
+    record_steps = list(range(first_tail, n_steps, tail_stride)) + [n_steps]
+    rec_t, rec_c, rec_th, rec_u, _sw, _ev = _batch_integrate(
+        system,
+        [c for c, _t, _u in states],
+        [t for _c, t, _u in states],
+        [u for _c, _t, u in states],
+        duration,
+        step,
+        record_steps,
+        dwell=dwell,
     )
-    if mode == "weak":
-        return CONVERGED_FIBRE if fibre_ok else TIMEOUT
-    point_ok = True
-    for _t, chart, theta, u in tail:
-        try:
-            d = bundle_distance((chart, theta, u), ("A", x_star, u_star), atlas)
-        except ValueError:  # sample sits on a seam the target chart misses
-            point_ok = False
-            break
-        if d >= eps:
-            point_ok = False
-            break
-    if point_ok:
-        return CONVERGED_POINT
-    if fibre_ok:
-        return CONVERGED_FIBRE
-    return TIMEOUT
+    tail = rec_t >= duration - dwell
+    return _lane_statuses(system, rec_c[tail], rec_th[tail], rec_u[tail], mode, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -830,10 +878,12 @@ def basin(
     The whole grid advances in one vectorized batch; results depend only
     on the grid, the step and the system, never on scheduling.
     """
-    if mode not in ("strong", "weak"):
+    if mode not in _GOAL:
         raise ValueError(f"unknown mode {mode!r}")
     if verify:
         _require_compatible(system)
+    if mode == "strong" and system.atlas.to_chart_b(system.x_star) is None:
+        raise ValueError("strong-mode grids need a target off the seams")
     grid = grid or GridSpec()
     angles = grid.angle_values()
     fibres = grid.fibre_values()
@@ -842,59 +892,9 @@ def basin(
         for j, a in enumerate(angles)
         for i, v in enumerate(fibres)
     ]
-    chart0, theta0, u0 = [], [], []
-    for _j, _i, a, v in starts:
-        c, th, u = _normalize_start(system, (a, v))
-        chart0.append(c)
-        theta0.append(th)
-        u0.append(u)
-
-    n_steps = max(1, int(round(duration / step)))
-    tail_stride = max(1, int(round(0.1 / step)))
-    first_tail = max(0, n_steps - int(round(dwell / step)))
-    record_steps = list(range(first_tail, n_steps, tail_stride)) + [n_steps]
-    rec_t, rec_c, rec_th, rec_u, _switches, _ev = _batch_integrate(
-        system, chart0, theta0, u0, duration, step, record_steps, dwell=dwell
-    )
-    tail_rows = [i for i, t in enumerate(rec_t) if t >= duration - dwell]
-    th_tail = rec_th[tail_rows]
-    u_tail = rec_u[tail_rows]
-
-    diverged = np.any(np.abs(u_tail) > _DIVERGENCE_BOUND, axis=0)
-    fibre_dist = circle_distance(np.mod(th_tail, TWO_PI), system.x_star)
-    fibre_ok = np.all(fibre_dist < eps, axis=0) & ~diverged
-    if mode == "weak":
-        converged = fibre_ok
-        status = np.where(
-            diverged, DIVERGED, np.where(fibre_ok, CONVERGED_FIBRE, TIMEOUT)
-        )
-    else:
-        # chart-aware distance to the target point, vectorized: transport
-        # the target into each sample's chart through the O1 arc when the
-        # sample lives in chart B (x_star is assumed away from the seams)
-        tgt_b = system.atlas.to_chart_b(system.x_star)
-        if tgt_b is None:
-            raise ValueError("strong-mode grids need a target off the seams")
-        comp = system.atlas.overlap_component(system.x_star)
-        tau = system.atlas.transition_sign(comp)
-        c_tail = rec_c[tail_rows]
-        tgt_u = np.where(c_tail == 0, system.u_star, tau * system.u_star)
-        if system.atlas.fibre == "circle":
-            du = circle_distance(u_tail, tgt_u)
-        else:
-            du = np.abs(u_tail - tgt_u)
-        point_dist = np.maximum(fibre_dist, du)
-        point_ok = np.all(point_dist < eps, axis=0) & ~diverged
-        converged = point_ok
-        status = np.where(
-            diverged,
-            DIVERGED,
-            np.where(
-                point_ok,
-                CONVERGED_POINT,
-                np.where(fibre_ok, CONVERGED_FIBRE, TIMEOUT),
-            ),
-        )
+    states = [_normalize_start(system, (a, v)) for _j, _i, a, v in starts]
+    status = _tail_statuses(system, states, mode, eps, duration, step, dwell)
+    converged = status == _GOAL[mode]
 
     counts = {}
     for s in status:
@@ -1022,9 +1022,14 @@ def flow_retraction(
 
     # precondition: every sample converges under the plain flow
     mode = "strong" if target_kind == "point" else "weak"
-    failures = _batch_statuses(
-        system, states, mode=mode, eps=eps, duration=precheck_duration, step=step
-    )
+    if mode == "strong" and atlas.to_chart_b(system.x_star) is None:
+        raise ValueError("retraction target sits on a seam")
+    status = _tail_statuses(system, states, mode, eps, precheck_duration, step, 1.0)
+    failures = [
+        (i, DIVERGED if s == DIVERGED else TIMEOUT)
+        for i, s in enumerate(status)
+        if s != _GOAL[mode]
+    ]
     if failures:
         raise NonConvergentSample(
             f"{len(failures)} of {len(states)} samples do not converge "
@@ -1063,26 +1068,10 @@ def flow_retraction(
     d_u = np.abs(rec_u[0, :n] - np.array(u0[:n]))
     identity_defect = float(max(np.max(d_theta), np.max(d_u))) if n else 0.0
 
-    def dist_to_target(c_row, th_row, u_row):
-        ang = circle_distance(np.mod(th_row, TWO_PI), system.x_star)
-        if target_kind == "fibre":
-            return ang
-        tgt_b = atlas.to_chart_b(system.x_star)
-        if tgt_b is None:
-            raise ValueError("retraction target sits on a seam")
-        tau = atlas.transition_sign(atlas.overlap_component(system.x_star))
-        tgt_u = np.where(c_row == 0, system.u_star, tau * system.u_star)
-        if atlas.fibre == "circle":
-            du = circle_distance(u_row, tgt_u)
-        else:
-            du = np.abs(u_row - tgt_u)
-        return np.maximum(ang, du)
-
-    endpoint_defect = float(np.max(dist_to_target(rec_c[-1, :n], rec_th[-1, :n], rec_u[-1, :n])))
-    fixed = 0.0
-    for row in range(len(s_grid)):
-        d = dist_to_target(rec_c[row, n:], rec_th[row, n:], rec_u[row, n:])
-        fixed = max(fixed, float(np.max(d)))
+    ang, point = _target_distances(system, rec_c, rec_th, rec_u)
+    dist = ang if target_kind == "fibre" else point
+    endpoint_defect = float(np.max(dist[-1, :n]))
+    fixed = float(np.max(dist[:, n:]))
     return RetractionReport(
         system=system.name,
         target_kind=target_kind,
@@ -1095,42 +1084,6 @@ def flow_retraction(
         eps=eps,
         fixed_tol=fixed_tol,
     )
-
-
-def _batch_statuses(system, states, mode, eps, duration, step, dwell=1.0):
-    """Indices and statuses of states that fail to converge."""
-    chart0 = [c for c, _t, _u in states]
-    theta0 = [t for _c, t, _u in states]
-    u0 = [u for _c, _t, u in states]
-    n_steps = max(1, int(round(duration / step)))
-    tail_stride = max(1, int(round(0.1 / step)))
-    first_tail = max(0, n_steps - int(round(dwell / step)))
-    record_steps = list(range(first_tail, n_steps, tail_stride)) + [n_steps]
-    rec_t, rec_c, rec_th, rec_u, _sw, _ev = _batch_integrate(
-        system, chart0, theta0, u0, duration, step, record_steps, dwell=dwell
-    )
-    tail_rows = [i for i, t in enumerate(rec_t) if t >= duration - dwell]
-    th_tail = rec_th[tail_rows]
-    u_tail = rec_u[tail_rows]
-    c_tail = rec_c[tail_rows]
-    diverged = np.any(np.abs(u_tail) > _DIVERGENCE_BOUND, axis=0)
-    fibre_dist = circle_distance(np.mod(th_tail, TWO_PI), system.x_star)
-    ok = np.all(fibre_dist < eps, axis=0) & ~diverged
-    if mode == "strong":
-        tau = system.atlas.transition_sign(
-            system.atlas.overlap_component(system.x_star)
-        )
-        tgt_u = np.where(c_tail == 0, system.u_star, tau * system.u_star)
-        if system.atlas.fibre == "circle":
-            du = circle_distance(u_tail, tgt_u)
-        else:
-            du = np.abs(u_tail - tgt_u)
-        ok &= np.all(np.maximum(fibre_dist, du) < eps, axis=0)
-    return [
-        (i, DIVERGED if diverged[i] else TIMEOUT)
-        for i in range(len(states))
-        if not ok[i]
-    ]
 
 
 # ---------------------------------------------------------------------------

@@ -61,11 +61,19 @@ class SimplicialComplex:
                 )
             if () == f:
                 raise ValueError("empty facet")
-        maximal = [
-            f
-            for f in faces
-            if not any(set(f) < set(g) for g in faces if len(g) > len(f))
-        ]
+        # largest faces first: a face is maximal unless a kept face covers
+        # it.  Only subfaces of the sizes still to come are recorded, so
+        # facets of one dimension cost nothing, and no more subfaces are
+        # recorded than the complex has simplices in those degrees.
+        smaller = {len(f) for f in faces}
+        maximal, covered = [], set()
+        for f in sorted(faces, key=len, reverse=True):
+            smaller.discard(len(f))
+            if f in covered:
+                continue
+            maximal.append(f)
+            for r in smaller:
+                covered.update(combinations(f, r))
         maximal.sort(key=lambda f: (len(f), f))
         object.__setattr__(self, "facets", tuple(maximal))
 

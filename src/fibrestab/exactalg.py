@@ -704,9 +704,3 @@ def tor_product(a: AbelianGroup, b: AbelianGroup) -> AbelianGroup:
     orders = [gcd(da, db) for da in a.torsion for db in b.torsion]
     return AbelianGroup.from_cyclic_orders(orders)
 
-
-def group_from_presentation(n_generators, relation_factors):
-    """Cokernel Z^n / im(relations) given the relation matrix invariant factors."""
-    factors = [d for d in relation_factors if d != 0]
-    free = n_generators - len(factors)
-    return AbelianGroup.from_cyclic_orders([0] * free + list(factors))

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .complexes import (
     SimplicialComplex,
@@ -326,15 +327,11 @@ class HomologyBasis:
             lead = min(vec)
             inv = pow(vec[lead], self.p - 2, self.p)
             return {c: (v * inv) % self.p for c, v in vec.items()}
-        from math import gcd
-
         g = 0
         for v in vec.values():
             num = v.numerator if isinstance(v, Fraction) else v
             g = gcd(g, num)
         denoms = [v.denominator for v in vec.values() if isinstance(v, Fraction)]
-        from math import lcm
-
         scale = Fraction(lcm(*denoms) if denoms else 1, g if g else 1)
         out = {c: int(v * scale) for c, v in vec.items()}
         if out[min(out)] < 0:
@@ -381,8 +378,7 @@ class InducedMap:
         return len(self.matrix)
 
     def rank(self):
-        p = 0 if self.ring == "Q" else int(self.ring[2:])
-        return matrix_rank(self.matrix, p)
+        return matrix_rank(self.matrix, parse_ring(self.ring)[1])
 
 
 def homology_basis(complex_: SimplicialComplex, k, ring="Q") -> HomologyBasis:
@@ -395,6 +391,22 @@ def homology_basis(complex_: SimplicialComplex, k, ring="Q") -> HomologyBasis:
     return HomologyBasis(bk, bup, modulus)
 
 
+def inclusion_matrix(dom_basis, dom_simplices, cod_basis, cod_index):
+    """Matrix of an inclusion-induced map in the stored bases.
+
+    ``dom_simplices`` lists the domain's simplices by column and
+    ``cod_index`` maps each simplex to its codomain column.
+    """
+    cols = []
+    for rep in dom_basis.reps:
+        pushed = {cod_index[dom_simplices[c]]: v for c, v in rep.items()}
+        cols.append(cod_basis.express(pushed))
+    return tuple(
+        tuple(cols[j][i] for j in range(len(cols)))
+        for i in range(cod_basis.dimension)
+    )
+
+
 def induced_map(pair: SimplicialPair, k, ring="Q") -> InducedMap:
     """Map on degree-k homology induced by the inclusion sub -> total."""
     label, modulus = parse_ring(ring)
@@ -405,14 +417,7 @@ def induced_map(pair: SimplicialPair, k, ring="Q") -> InducedMap:
     basis_tot = homology_basis(total, k, label)
     sub_simplices = sub.simplices(k)
     tot_index = {s: i for i, s in enumerate(total.simplices(k))}
-    cols = []
-    for rep in basis_sub.reps:
-        pushed = {tot_index[sub_simplices[c]]: v for c, v in rep.items()}
-        cols.append(basis_tot.express(pushed))
-    matrix = tuple(
-        tuple(cols[j][i] for j in range(len(cols)))
-        for i in range(basis_tot.dimension)
-    )
+    matrix = inclusion_matrix(basis_sub, sub_simplices, basis_tot, tot_index)
 
     def chain(reps, simplices):
         return tuple(

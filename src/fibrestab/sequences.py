@@ -26,8 +26,8 @@ from .complexes import SimplicialComplex, SimplicialPair, boundary_columns, prod
 from .exactalg import AbelianGroup, matrix_rank, tensor_product, tor_product
 from .homology import (
     HomologyBasis,
-    boundary_columns as _bc,  # noqa: F401  (re-exported for callers)
     homology,
+    inclusion_matrix,
     parse_ring,
     relative_boundary_columns,
 )
@@ -181,18 +181,6 @@ def _relative_basis(pair, k, p):
     return HomologyBasis(bk, bup, p)
 
 
-def _inclusion_matrix(dom_basis, dom_simplices, cod_basis, cod_index):
-    """Matrix of an inclusion-induced map in the stored bases."""
-    cols = []
-    for rep in dom_basis.reps:
-        pushed = {cod_index[dom_simplices[c]]: v for c, v in rep.items()}
-        cols.append(cod_basis.express(pushed))
-    return tuple(
-        tuple(cols[j][i] for j in range(len(cols)))
-        for i in range(cod_basis.dimension)
-    )
-
-
 def _boundary_of_chain(chain, cols_data, p):
     """Apply a sparse boundary operator to a chain {col: coeff} over Q/Z/p."""
     out = {}
@@ -285,19 +273,19 @@ def mayer_vietoris(
 
     def alpha(k):
         ints = inter.simplices(k)
-        ia = _inclusion_matrix(
+        ia = inclusion_matrix(
             bases_i[k], ints, bases_a[k], {s: i for i, s in enumerate(a.simplices(k))}
         )
-        ib = _inclusion_matrix(
+        ib = inclusion_matrix(
             bases_i[k], ints, bases_b[k], {s: i for i, s in enumerate(b.simplices(k))}
         )
         return tuple(list(ia) + list(ib))
 
     def beta(k):
-        ja = _inclusion_matrix(
+        ja = inclusion_matrix(
             bases_a[k], a.simplices(k), bases_x[k], idx_x[k]
         )
-        jb = _inclusion_matrix(
+        jb = inclusion_matrix(
             bases_b[k], b.simplices(k), bases_x[k], idx_x[k]
         )
         rows = bases_x[k].dimension
@@ -352,7 +340,7 @@ def pair_les_check(pair: SimplicialPair, ring="Q", degrees=None) -> ExactnessRep
     bases_r = {k: _relative_basis(pair, k, p) for k in range(lo, hi + 2)}
 
     def i_star(k):
-        return _inclusion_matrix(
+        return inclusion_matrix(
             bases_a[k],
             a.simplices(k),
             bases_x[k],

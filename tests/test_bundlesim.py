@@ -3,6 +3,7 @@ retractions, experiment specs."""
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -317,6 +318,17 @@ def test_strong_classification_is_chart_aware():
     assert classify_convergence(traj, mob, mode="strong") == CONVERGED_POINT
 
 
+def test_strong_classification_carries_the_target_through_the_twist():
+    # a target on O2, where the Mobius transition flips the fibre
+    mob = replace(builtin_system("mobius_damped"), x_star=1.5 * math.pi, u_star=0.3)
+    target_b = state_in_chart(("A", mob.x_star, mob.u_star), "B", mob.atlas)
+    assert target_b[2] == -0.3
+    for u, status in ((-0.3, CONVERGED_POINT), (0.3, CONVERGED_FIBRE)):
+        samples = tuple((0.1 * k, "B", target_b[1], u) for k in range(21))
+        traj = TrajectoryRecord("fake", 0.1, 2.0, samples, 0)
+        assert classify_convergence(traj, mob, mode="strong") == status
+
+
 # ---------------------------------------------------------------------------
 # basins
 # ---------------------------------------------------------------------------
@@ -387,6 +399,137 @@ def test_basin_report_json():
 def test_basin_rejects_unknown_mode():
     with pytest.raises(ValueError):
         basin(builtin_system("linear_patch"), GridSpec(2, 2), mode="middling")
+
+
+# ---------------------------------------------------------------------------
+# one classifier: trajectories, basin cells and the retraction precheck
+# ---------------------------------------------------------------------------
+
+GOAL = {"strong": CONVERGED_POINT, "weak": CONVERGED_FIBRE}
+# column 1 (angle 0.196 < SWITCH_MARGIN) starts in chart B
+CLASSIFIER_GRID = GridSpec(theta_cells=32, u_cells=2, u_range=(-0.4, 0.4))
+CLASSIFIER_RUN = dict(duration=30.0, step=0.05)
+
+
+def _cell_statuses(rep):
+    """{(j, i): status} of every cell of a basin report, in grid order."""
+    grid = rep.grid
+    cells = {
+        (j, i): GOAL[rep.target_mode]
+        for j in range(grid.theta_cells)
+        for i in range(grid.u_cells)
+    }
+    for j, i, _angle, _fibre, status in rep.nonconvergent:
+        cells[j, i] = status
+    return cells
+
+
+@pytest.mark.parametrize("name", ["mobius_damped", "linear_patch"])
+def test_basin_statuses_match_integrate_cell_by_cell(name):
+    system = builtin_system(name)
+    strong, weak = (
+        _cell_statuses(basin(system, CLASSIFIER_GRID, mode=m, **CLASSIFIER_RUN))
+        for m in ("strong", "weak")
+    )
+    assert set(strong.values()) == {CONVERGED_POINT, TIMEOUT}
+    angles, fibres = CLASSIFIER_GRID.angle_values(), CLASSIFIER_GRID.fibre_values()
+    for (j, i), status in strong.items():
+        # a record every 2 steps of 0.05 samples the tail as basin does
+        traj = integrate(
+            system, (angles[j], fibres[i]), record_stride=2, verify=False,
+            **CLASSIFIER_RUN,
+        )
+        assert traj.terminal_status == status, (j, i)
+        assert classify_convergence(traj, system, mode="weak") == weak[j, i], (j, i)
+
+
+def test_chart_b_lanes_converge_to_the_target_point():
+    mob = builtin_system("mobius_damped")
+    rep = basin(mob, CLASSIFIER_GRID, mode="strong", **CLASSIFIER_RUN)
+    start = _normalize_start(mob, (CLASSIFIER_GRID.angle_values()[1], 0.4))
+    assert start[0] == 1
+    assert _cell_statuses(rep)[1, 1] == CONVERGED_POINT
+
+
+@pytest.mark.parametrize(
+    "system, grid, mode, run, statuses",
+    [
+        (
+            builtin_system("mobius_damped"), CLASSIFIER_GRID, "strong",
+            CLASSIFIER_RUN, {CONVERGED_POINT, TIMEOUT},
+        ),
+        (
+            builtin_system("mobius_damped"), CLASSIFIER_GRID, "weak",
+            CLASSIFIER_RUN, {CONVERGED_FIBRE, TIMEOUT},
+        ),
+        # u' = +u: the u = 0 row stays put, every other cell diverges
+        (
+            assemble_system(
+                "blow", ChartAtlas.trivial(), ("zero", {}),
+                ("linear_decay", {"rate": -1.0}), X_STAR,
+            ),
+            GridSpec(theta_cells=4, u_cells=3, u_range=(-1.0, 1.0)),
+            "strong",
+            dict(duration=18.0, step=0.05),
+            {CONVERGED_POINT, DIVERGED, TIMEOUT},
+        ),
+    ],
+    ids=["mobius-point", "mobius-fibre", "blowup-point"],
+)
+def test_retraction_precheck_rejects_exactly_the_basin_nonconvergent_cells(
+    system, grid, mode, run, statuses
+):
+    cells = _cell_statuses(basin(system, grid, mode=mode, **run))
+    assert set(cells.values()) == statuses
+    points = [(a, v) for a in grid.angle_values() for v in grid.fibre_values()]
+    failing = [
+        (idx, DIVERGED if status == DIVERGED else TIMEOUT)
+        for idx, status in enumerate(cells.values())
+        if status != GOAL[mode]
+    ]
+    retract = dict(
+        target_kind="point" if mode == "strong" else "fibre",
+        step=run["step"],
+        t_max=20.0,
+        precheck_duration=run["duration"],
+        verify=False,
+    )
+    with pytest.raises(NonConvergentSample) as exc:
+        flow_retraction(system, sample_points=points, **retract)
+    assert str(exc.value) == (
+        f"{len(failing)} of {len(points)} samples do not converge "
+        f"(first failures: {failing[:3]})"
+    )
+    # every cell basin counts as converged passes the precheck
+    converged = [p for p, status in zip(points, cells.values()) if status == GOAL[mode]]
+    flow_retraction(system, sample_points=converged, **retract)
+
+
+def test_pendulum_reaches_a_target_on_the_seam():
+    pend = builtin_system("damped_pendulum", x_star=math.pi)
+    traj = integrate(pend, (0.5 * math.pi, 0.5), duration=40.0, step=1e-2, record_stride=10)
+    assert traj.final_state()[0] == "A"
+    assert traj.terminal_status == CONVERGED_POINT
+
+
+def test_seam_targets_have_no_chart_b_image():
+    # x_star is a chart-A angle, and the seams 0 and pi have no chart-B
+    # image: a chart-B tail on a target at 0 only reaches the fibre, while
+    # a chart-A tail on a target at pi reaches the point
+    for x_star, chart, status in ((0.0, "B", CONVERGED_FIBRE), (math.pi, "A", CONVERGED_POINT)):
+        lin = builtin_system("linear_patch", x_star=x_star)
+        samples = tuple((0.1 * k, chart, x_star, 0.0) for k in range(21))
+        traj = TrajectoryRecord("fake", 0.1, 2.0, samples, 0)
+        assert classify_convergence(traj, lin, mode="strong") == status
+
+
+def test_seam_targets_are_rejected_by_strong_basins_and_point_retractions():
+    for x_star in (0.0, math.pi):
+        pend = builtin_system("damped_pendulum", x_star=x_star)
+        with pytest.raises(ValueError, match="off the seams"):
+            basin(pend, GridSpec(2, 2), mode="strong", duration=1.0)
+        with pytest.raises(ValueError, match="on a seam"):
+            flow_retraction(pend, n_samples=2, precheck_duration=1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,30 @@ def test_empty_complex():
     assert cx.simplices(0) == []
 
 
+def _maximal_faces_oracle(facets):
+    """The quadratic all-pairs filter the constructor used to run."""
+    faces = sorted({tuple(sorted(set(f))) for f in facets})
+    maximal = [
+        f
+        for f in faces
+        if not any(set(f) < set(g) for g in faces if len(g) > len(f))
+    ]
+    maximal.sort(key=lambda f: (len(f), f))
+    return tuple(maximal)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.lists(st.integers(0, 7), min_size=1, max_size=7),
+        min_size=1,
+        max_size=25,
+    )
+)
+def test_maximal_face_filter_matches_all_pairs_oracle(facets):
+    assert complex_from(facets).facets == _maximal_faces_oracle(facets)
+
+
 # -- boundary matrices --------------------------------------------------------
 
 
