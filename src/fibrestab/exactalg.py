@@ -10,11 +10,16 @@ can silently overflow.  The pillars:
   its invariant factors.
 * ``smith_normal_form`` -- dense Smith decomposition of an integer matrix
   with unimodular witnesses L, R such that L @ A @ R = diag(d) (padded).
-* ``_eliminate`` -- Gaussian elimination over Q (p = 0) or Z/p on sparse
-  dict-rows.  It gives the echelon forms and kernels behind cycle bases,
-  ``matrix_rank`` for the small induced-map matrices, and
-  ``rank_over_field``, a route independent of the Smith reduction that the
-  tests play against it.
+* ``_cancel`` and ``_normalize`` -- the one field reducer, over Q (p = 0)
+  or Z/p on sparse integer dict-rows.  ``_cancel`` clears one column of a
+  row with a pivot row; over Q both stay primitive-integer rows, so no
+  Fractions are involved.  ``_normalize`` makes a row primitive with a
+  positive pivot over Q, or sets its pivot to 1 over Z/p.  Forward
+  elimination (``_eliminate``), ``rref_rows``, ``kernel_of_columns`` and
+  the cycle bases and class coordinates of ``homology.HomologyBasis`` run
+  on these two, and so do ``matrix_rank`` for the small induced-map
+  matrices and ``rank_over_field``, a route independent of the Smith
+  reduction that the tests play against it.
 * ``AbelianGroup`` -- invariant-factor form of a finitely generated abelian
   group, with direct sum, tensor and Tor.
 """
@@ -402,49 +407,72 @@ def rank_over_field(a: IntegerMatrix, p: int = 0) -> int:
     return len(_eliminate(rows, p))
 
 
-def _eliminate(rows, p):
-    """Forward-eliminate sparse dict-rows in place; returns pivot list.
+def _cancel(r, h, lead, p):
+    """Clear column ``lead`` of row ``r`` with pivot row ``h``, in place.
 
-    Rows hold ints; over Q a row is only defined up to scale, which is fine
-    for rank/kernel work (rows are re-normalized to primitive vectors).
+    Over Z/p, r becomes r - f h (mod p) with f = r[lead] / h[lead].  Over Q
+    both rows stay integral: with g = gcd(r[lead], h[lead]), r becomes
+    (h[lead] / g) r - (r[lead] / g) h.  Returns (mul_r, mul_h) such that the
+    new r is mul_r * (old r) - mul_h * h, so callers can track scales and
+    coefficients; mul_r is 1 over Z/p and has the sign of h[lead] over Q.
     """
-    pivots = []  # (col, row dict) with row normalized at col
+    x, y = r[lead], h[lead]
+    if p:
+        mul_r, mul_h = 1, x * pow(y, -1, p) % p
+    else:
+        g = gcd(x, y)
+        mul_r, mul_h = y // g, x // g
+    if mul_r != 1:
+        for c in r:
+            r[c] *= mul_r
+    for c, v in h.items():
+        nv = r.get(c, 0) - mul_h * v
+        if p:
+            nv %= p
+        if nv:
+            r[c] = nv
+        else:
+            r.pop(c, None)
+    return mul_r, mul_h
+
+
+def _normalize(r, lead, p):
+    """Scale a nonzero row in place so that it is canonical at ``lead``.
+
+    Over Q the row becomes primitive (gcd 1) with r[lead] > 0; over Z/p
+    r[lead] becomes 1 and every entry is reduced into 1..p-1.
+    """
+    if p:
+        inv = pow(r[lead], -1, p)
+        for c in r:
+            r[c] = r[c] * inv % p
+        return
+    g = gcd(*r.values())
+    if r[lead] < 0:
+        g = -g
+    if g != 1:
+        for c in r:
+            r[c] //= g
+
+
+def _eliminate(rows, p):
+    """Forward-eliminate integer dict-rows in place; returns the pivot rows.
+
+    Each row is cleared against the pivot rows found so far, leading column
+    first, and kept as a new pivot row, normalized at its lead, if anything
+    is left.  Over Z/p every entry must be nonzero mod p.  Returns a dict
+    {pivot_col: row}.
+    """
+    pivots = {}
     for r in rows:
         while r:
             lead = min(r)
-            hit = next((pr for pc, pr in pivots if pc == lead), None)
+            hit = pivots.get(lead)
             if hit is None:
+                _normalize(r, lead, p)
+                pivots[lead] = r
                 break
-            if p:
-                factor = (r[lead] * pow(hit[lead], p - 2, p)) % p
-                for c, v in hit.items():
-                    nv = (r.get(c, 0) - factor * v) % p
-                    if nv:
-                        r[c] = nv
-                    else:
-                        r.pop(c, None)
-            else:
-                x, y = r[lead], hit[lead]
-                g = gcd(x, y)
-                mul_r, mul_h = y // g, x // g
-                for c in set(r) | set(hit):
-                    nv = mul_r * r.get(c, 0) - mul_h * hit.get(c, 0)
-                    if nv:
-                        r[c] = nv
-                    else:
-                        r.pop(c, None)
-        if r:
-            if not p:
-                g = 0
-                for v in r.values():
-                    g = gcd(g, v)
-                if r[min(r)] < 0:
-                    g = -g
-                if g not in (0, 1):
-                    for c in r:
-                        r[c] //= g
-            pivots.append((min(r), r))
-    pivots.sort(key=lambda t: t[0])
+            _cancel(r, hit, lead, p)
     return pivots
 
 
@@ -469,115 +497,58 @@ def matrix_rank(matrix, p):
     return len(_eliminate(rows, p))
 
 
-def _back_substitute(pivots, p):
-    """Turn an eliminated pivot list into reduced echelon form (in place)."""
-    for idx in range(len(pivots) - 1, -1, -1):
-        pc, pr = pivots[idx]
-        for jdx in range(idx):
-            c2, r2 = pivots[jdx]
-            if pc not in r2:
-                continue
-            if p:
-                factor = (r2[pc] * pow(pr[pc], p - 2, p)) % p
-                for c, v in pr.items():
-                    nv = (r2.get(c, 0) - factor * v) % p
-                    if nv:
-                        r2[c] = nv
-                    else:
-                        r2.pop(c, None)
-            else:
-                x, y = r2[pc], pr[pc]
-                g = gcd(x, y)
-                mul_r, mul_p = y // g, x // g
-                for c in set(r2) | set(pr):
-                    nv = mul_r * r2.get(c, 0) - mul_p * pr.get(c, 0)
-                    if nv:
-                        r2[c] = nv
-                    else:
-                        r2.pop(c, None)
-                g = 0
-                for v in r2.values():
-                    g = gcd(g, v)
-                if r2[min(r2)] < 0:
-                    g = -g
-                if g not in (0, 1):
-                    for c in r2:
-                        r2[c] //= g
-    return pivots
-
-
 def rref_rows(rows, p):
     """Reduced echelon form of integer dict-rows over Q or Z/p.
 
     Returns a list of (pivot_col, row_dict) sorted by pivot column.  Over Q
     each row is primitive (gcd 1) with positive pivot; over Z/p the pivot is
-    normalized to 1.
+    normalized to 1.  Both forms are unique, so the result does not depend
+    on the order of the input rows.
     """
-    work = [dict(r) for r in rows if r]
-    pivots = _back_substitute(_eliminate(work, p), p)
-    if p:
-        for pc, r in pivots:
-            inv = pow(r[pc], p - 2, p)
-            for c in list(r):
-                r[c] = (r[c] * inv) % p
-    return pivots
-
-
-def kernel_basis_over_field(a: IntegerMatrix, p: int = 0):
-    """Reduced-echelon basis of ker(a) over Q or Z/p, as sparse dict-rows.
-
-    Deterministic: free columns are scanned in increasing order, so pivots
-    of the returned basis are lexicographically smallest.
-    """
-    _check_modulus(p)
-    cols = {}
-    for i in range(a.rows):
-        for j in range(a.cols):
-            v = a.at(i, j)
-            if p:
-                v %= p
-            if v:
-                cols.setdefault(j, {})[i] = v
-    return kernel_of_columns(cols, a.cols, p)
+    work = [{c: v % p for c, v in r.items() if v % p} if p else dict(r) for r in rows]
+    pivots = _eliminate([r for r in work if r], p)
+    # back-substitution, last row first: the rows below are already reduced,
+    # so cancelling against them brings in no other pivot column
+    for lead in sorted(pivots, reverse=True):
+        r = pivots[lead]
+        above = [c for c in r if c != lead and c in pivots]
+        for c in above:
+            _cancel(r, pivots[c], c, p)
+        if above:
+            _normalize(r, lead, p)
+    return sorted(pivots.items())
 
 
 def kernel_of_columns(cols, ncols, p):
-    """Kernel basis from a column-map {j: {i: v}} (see kernel_basis_over_field)."""
+    """Basis of the kernel of a column map {j: {i: v}} over Q or Z/p.
+
+    One vector per free column j of the reduced echelon form, with its
+    entry at j positive over Q (the vector is primitive) and 1 over Z/p.
+    Deterministic: free columns are scanned in increasing order, so the
+    pivots of the returned basis are lexicographically smallest.
+    """
     rows = {}
     for j, col in cols.items():
         for i, v in col.items():
             rows.setdefault(i, {})[j] = v
-    pivots = rref_rows(list(rows.values()), p)
-    pivot_cols = [pc for pc, _ in pivots]
-    pivot_set = set(pivot_cols)
+    pivots = rref_rows(rows.values(), p)
+    hits = {}  # free column -> [(pivot column, pivot entry, entry)]
+    for pc, r in pivots:
+        for j, v in r.items():
+            if j != pc:
+                hits.setdefault(j, []).append((pc, r[pc], v))
+    pivot_set = {pc for pc, _ in pivots}
     basis = []
     for j in range(ncols):
         if j in pivot_set:
             continue
-        # kernel vector with 1 in the free column j
-        vec = {j: 1}
-        if p:
-            for pc, r in pivots:
-                v = r.get(j)
-                if v:
-                    vec[pc] = (-v) % p
-        else:
-            denom = 1
-            coeffs = {}
-            for pc, r in pivots:
-                v = r.get(j)
-                if v:
-                    coeffs[pc] = Fraction(-v, r[pc])
-            if coeffs:
-                denom = lcm(*[f.denominator for f in coeffs.values()])
-            vec = {j: denom}
-            for pc, f in coeffs.items():
-                vec[pc] = int(f * denom)
-            g = 0
-            for v in vec.values():
-                g = gcd(g, v)
-            if g > 1:
-                vec = {c: v // g for c, v in vec.items()}
+        # x_j = scale and x_pc = -r[j] * scale / r[pc] solve every pivot row
+        col_hits = hits.get(j, ())
+        scale = lcm(*(d for _, d, _ in col_hits))
+        vec = {j: scale}
+        for pc, d, v in col_hits:
+            vec[pc] = -v * (scale // d)
+        _normalize(vec, j, p)
         basis.append(vec)
     return basis
 

@@ -11,14 +11,16 @@ Gaussian rank ``exactalg.rank_over_field``.
 
 Induced maps are computed at chain level with deterministic reduced-echelon
 cycle bases (lexicographically smallest pivots), so repeated runs produce
-identical matrices.
+identical matrices.  The bases and the coordinates ``HomologyBasis.express``
+gives run on the field reducer of ``exactalg`` in integer arithmetic: a
+coordinate over Q is one Fraction built at the end from the integer
+coefficient and the scale the reduction accumulated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
 
 from .complexes import (
     SimplicialComplex,
@@ -29,7 +31,9 @@ from .exactalg import (
     AbelianGroup,
     CompositeModulus,
     IntegerMatrix,
+    _cancel,
     _check_modulus,
+    _normalize,
     invariant_factors_sparse,
     kernel_of_columns,
     matrix_rank,
@@ -252,39 +256,30 @@ def pi1_abelianized(complex_: SimplicialComplex) -> AbelianGroup:
 # ---------------------------------------------------------------------------
 
 
-def _reduce_row(vec, pivots, p, record=None):
-    """Eliminate vec (dict) against pivot rows; optionally record coefficients.
+def _reduce_row(vec, pivots, p):
+    """Clear the leading entries of ``vec`` against pivot rows while they last.
 
-    ``pivots`` maps a column index to (row_dict, tag).  When ``record`` is a
-    dict, the Fraction/int coefficient applied at each tagged pivot is
-    accumulated there.  Returns the reduced vector.
+    ``pivots`` maps a column to (row, tag).  Returns (rest, scale, coeffs)
+    with scale * vec = rest + sum(coeffs[tag] * row_tag) + (a combination of
+    the untagged rows).  The scale is 1 over Z/p and positive over Q, since
+    every pivot row has a positive lead.
     """
     vec = dict(vec)
+    scale, coeffs = 1, {}
     while vec:
         lead = min(vec)
         hit = pivots.get(lead)
         if hit is None:
             break
         row, tag = hit
-        if p:
-            coeff = (vec[lead] * pow(row[lead], p - 2, p)) % p
-            for c, v in row.items():
-                nv = (vec.get(c, 0) - coeff * v) % p
-                if nv:
-                    vec[c] = nv
-                else:
-                    vec.pop(c, None)
-        else:
-            coeff = Fraction(vec[lead], row[lead])
-            for c, v in row.items():
-                nv = vec.get(c, Fraction(0)) - coeff * v
-                if nv:
-                    vec[c] = nv
-                else:
-                    vec.pop(c, None)
-        if record is not None and tag is not None:
-            record[tag] = record.get(tag, 0) + coeff
-    return vec
+        mul_r, mul_h = _cancel(vec, row, lead, p)
+        if mul_r != 1:
+            scale *= mul_r
+            for t in coeffs:
+                coeffs[t] *= mul_r
+        if tag is not None:
+            coeffs[tag] = coeffs.get(tag, 0) + mul_h
+    return vec, scale, coeffs
 
 
 class HomologyBasis:
@@ -296,47 +291,20 @@ class HomologyBasis:
     """
 
     def __init__(self, boundary_k, boundary_up, p):
-        rows_k, n_k, data_k = boundary_k
+        _, n_k, data_k = boundary_k
         self.n_k = n_k
         self.p = p
-        cycle_basis = kernel_of_columns(data_k, n_k, p)
-        image_rows = []
-        if boundary_up is not None:
-            _, _, data_up = boundary_up
-            image_rows = [dict(col) for col in data_up.values()]
-        if p:
-            image_rows = [
-                {c: v % p for c, v in r.items() if v % p} for r in image_rows
-            ]
-            image_rows = [r for r in image_rows if r]
-        self.pivots = {}
-        for pc, row in rref_rows(image_rows, p):
-            self.pivots[pc] = (row, None)
+        image_rows = [] if boundary_up is None else boundary_up[2].values()
+        self.pivots = {pc: (row, None) for pc, row in rref_rows(image_rows, p)}
         self.reps = []
-        for vec in cycle_basis:
-            red = _reduce_row(vec, self.pivots, p)
+        for vec in kernel_of_columns(data_k, n_k, p):
+            red = _reduce_row(vec, self.pivots, p)[0]
             if not red:
                 continue
-            red = self._normalize(red)
-            tag = len(self.reps)
+            lead = min(red)
+            _normalize(red, lead, p)
+            self.pivots[lead] = (red, len(self.reps))
             self.reps.append(red)
-            self.pivots[min(red)] = (red, tag)
-
-    def _normalize(self, vec):
-        if self.p:
-            lead = min(vec)
-            inv = pow(vec[lead], self.p - 2, self.p)
-            return {c: (v * inv) % self.p for c, v in vec.items()}
-        g = 0
-        for v in vec.values():
-            num = v.numerator if isinstance(v, Fraction) else v
-            g = gcd(g, num)
-        denoms = [v.denominator for v in vec.values() if isinstance(v, Fraction)]
-        scale = Fraction(lcm(*denoms) if denoms else 1, g if g else 1)
-        out = {c: int(v * scale) for c, v in vec.items()}
-        if out[min(out)] < 0:
-            out = {c: -v for c, v in out.items()}
-        return out
 
     @property
     def dimension(self):
@@ -344,14 +312,12 @@ class HomologyBasis:
 
     def express(self, vec):
         """Coordinates of the homology class of ``vec`` in this basis."""
-        record = {}
-        rem = _reduce_row(vec, self.pivots, self.p, record)
-        if rem:
+        rest, scale, coeffs = _reduce_row(vec, self.pivots, self.p)
+        if rest:
             raise ValueError("vector is not a cycle modulo boundaries")
-        coords = [record.get(i, 0) for i in range(len(self.reps))]
         if self.p:
-            return [c % self.p for c in coords]
-        return [Fraction(c) for c in coords]
+            return [coeffs.get(i, 0) % self.p for i in range(len(self.reps))]
+        return [Fraction(coeffs.get(i, 0), scale) for i in range(len(self.reps))]
 
 
 @dataclass(frozen=True)
@@ -391,19 +357,21 @@ def homology_basis(complex_: SimplicialComplex, k, ring="Q") -> HomologyBasis:
     return HomologyBasis(bk, bup, modulus)
 
 
+def coordinate_matrix(basis, chains):
+    """Matrix whose j-th column is ``basis.express(chains[j])``."""
+    cols = [basis.express(chain) for chain in chains]
+    return tuple(tuple(col[i] for col in cols) for i in range(basis.dimension))
+
+
 def inclusion_matrix(dom_basis, dom_simplices, cod_basis, cod_index):
     """Matrix of an inclusion-induced map in the stored bases.
 
     ``dom_simplices`` lists the domain's simplices by column and
     ``cod_index`` maps each simplex to its codomain column.
     """
-    cols = []
-    for rep in dom_basis.reps:
-        pushed = {cod_index[dom_simplices[c]]: v for c, v in rep.items()}
-        cols.append(cod_basis.express(pushed))
-    return tuple(
-        tuple(cols[j][i] for j in range(len(cols)))
-        for i in range(cod_basis.dimension)
+    return coordinate_matrix(
+        cod_basis,
+        [{cod_index[dom_simplices[c]]: v for c, v in rep.items()} for rep in dom_basis.reps],
     )
 
 

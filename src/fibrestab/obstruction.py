@@ -67,26 +67,23 @@ def is_closed_pseudomanifold(complex_: SimplicialComplex) -> bool:
         return False
     if not is_connected(complex_):
         return False
+    return all(d == 2 for d in _ridge_degrees(complex_).values())
+
+
+def _ridge_degrees(complex_: SimplicialComplex):
+    """Number of facets containing each codimension-one face of a facet."""
     degree = {}
     for f in complex_.facets:
         for i in range(len(f)):
             ridge = f[:i] + f[i + 1 :]
             degree[ridge] = degree.get(ridge, 0) + 1
-    return all(d == 2 for d in degree.values())
+    return degree
 
 
 def boundary_vertices(complex_: SimplicialComplex):
     """Vertices lying on a ridge contained in exactly one facet."""
-    degree = {}
-    for f in complex_.facets:
-        for i in range(len(f)):
-            ridge = f[:i] + f[i + 1 :]
-            degree[ridge] = degree.get(ridge, 0) + 1
-    out = set()
-    for ridge, d in degree.items():
-        if d == 1:
-            out.update(ridge)
-    return tuple(sorted(out))
+    degree = _ridge_degrees(complex_)
+    return tuple(sorted({v for ridge, d in degree.items() if d == 1 for v in ridge}))
 
 
 def is_orientable_closed(complex_: SimplicialComplex, n: int | None = None) -> bool:
@@ -215,6 +212,39 @@ def _first_nonzero(profile: HomologyProfile, top: int):
     return None
 
 
+def _witness(mode, m, U, prof_u):
+    """The degree test for a punctured total space of dimension ``m``.
+
+    strong: the first k >= 1 with H_k nonzero; weak: the first k >= 1 where
+    H_k differs from the fibre's.  The test returns None when there is none.
+    """
+    if mode == "strong":
+        return lambda pr: _first_nonzero(pr, m)
+
+    def weak(pr):
+        for j in range(1, max(m, U.dimension) + 1):
+            if pr.group(j) != prof_u.group(j):
+                return j
+        return None
+
+    return weak
+
+
+def _puncture_census(e: SimplicialComplex, witness):
+    """Integral homology of ``e`` punctured at the canonical and sampled vertices.
+
+    The canonical vertex is the first boundary vertex, or the smallest
+    vertex of a closed ``e``.  Returns (profile at the canonical vertex,
+    sampled vertices, whether every sampled puncture has a witness).
+    """
+    bdry = boundary_vertices(e)
+    canonical = bdry[0] if bdry else e.vertices()[0]
+    samples = _sample_vertices(e, extra=(canonical,))
+    punctured = {v: homology(puncture(e, v), "Z") for v in samples}
+    all_bad = all(witness(pr) is not None for pr in punctured.values())
+    return punctured[canonical], samples, all_bad
+
+
 def _encode_group(g: AbelianGroup | None):
     if g is None:
         return None
@@ -322,26 +352,12 @@ def trivial_bundle_one_point_obstruction(
             else "derived"
         )
 
-    def strong_witness(pr):
-        return _first_nonzero(pr, m)
-
-    def weak_witness(pr):
-        for j in range(1, max(m, U.dimension) + 1):
-            if pr.group(j) != prof_u.group(j):
-                return j
-        return None
-
-    witness = strong_witness if mode == "strong" else weak_witness
+    witness = _witness(mode, m, U, prof_u)
 
     if route == "direct":
         e = product(M, U)
         prof_e = homology(e, "Z")
-        bdry = boundary_vertices(e)
-        canonical = bdry[0] if bdry else 0
-        samples = _sample_vertices(e, extra=(canonical,))
-        punctured = {v: homology(puncture(e, v), "Z") for v in samples}
-        prof_e1 = punctured[canonical]
-        uniformly_bad = all(witness(pr) is not None for pr in punctured.values())
+        prof_e1, _, uniformly_bad = _puncture_census(e, witness)
     else:
         prof_m = homology(M, "Z")
         groups = []
@@ -482,27 +498,12 @@ def _evaluate_explicit_total(query: StabilizationQuery) -> Verdict:
     )
     obstructed = obstructed or top_hits
 
-    bdry = boundary_vertices(e)
-    canonical = bdry[0] if bdry else 0
-    samples = _sample_vertices(e, extra=(canonical,))
-    punctured = {v: homology(puncture(e, v), "Z") for v in samples}
-    prof_e1 = punctured[canonical]
-    if query.mode == "strong":
-        witness = lambda pr: _first_nonzero(pr, m)  # noqa: E731
-    else:
-        if prof_u is None:
-            raise ValueError("weak queries need a fibre U to compare against")
-
-        def witness(pr):
-            for j in range(1, max(m, query.U.dimension) + 1):
-                if pr.group(j) != prof_u.group(j):
-                    return j
-            return None
-
+    if query.mode == "weak" and prof_u is None:
+        raise ValueError("weak queries need a fibre U to compare against")
+    witness = _witness(query.mode, m, query.U, prof_u)
+    prof_e1, samples, all_bad = _puncture_census(e, witness)
     k = witness(prof_e1)
-    puncture_hits = k is not None and all(
-        witness(pr) is not None for pr in punctured.values()
-    )
+    puncture_hits = k is not None and all_bad
     evidence.append(
         _evidence(
             _punctured_tag(k, m) if query.mode == "strong" else "puncture_fibre_mismatch",
@@ -523,7 +524,7 @@ def _evaluate_explicit_total(query: StabilizationQuery) -> Verdict:
             )
         if puncture_hits:
             parts.append(
-                f"puncturing at any sampled vertex {list(punctured)} leaves "
+                f"puncturing at any sampled vertex {list(samples)} leaves "
                 f"H_{k} = {prof_e1.group(k)}"
                 + ("" if query.mode == "strong" else f" != {prof_u.group(k)}")
             )

@@ -26,6 +26,7 @@ from .complexes import SimplicialComplex, SimplicialPair, boundary_columns, prod
 from .exactalg import AbelianGroup, matrix_rank, tensor_product, tor_product
 from .homology import (
     HomologyBasis,
+    coordinate_matrix,
     homology,
     inclusion_matrix,
     parse_ring,
@@ -167,18 +168,15 @@ def check_exactness(nodes, ring="Q") -> ExactnessReport:
 # ---------------------------------------------------------------------------
 
 
-def _basis(cx, k, p):
-    dim = cx.dimension
-    bk = boundary_columns(cx, k) if 0 <= k <= dim else (0, 0, {})
-    bup = boundary_columns(cx, k + 1) if k + 1 <= dim else None
-    return HomologyBasis(bk, bup, p)
-
-
-def _relative_basis(pair, k, p):
-    dim = pair.total.dimension
-    bk = relative_boundary_columns(pair, k) if 0 <= k <= dim else (0, 0, {})
-    bup = relative_boundary_columns(pair, k + 1) if k + 1 <= dim else None
-    return HomologyBasis(bk, bup, p)
+def _bases(columns, space, dim, degrees, p):
+    """Cycle bases by degree of the chain complex of ``space`` (a complex or
+    a pair), whose boundary operators ``columns(space, k)`` stop at ``dim``."""
+    out = {}
+    for k in degrees:
+        bk = columns(space, k) if 0 <= k <= dim else (0, 0, {})
+        bup = columns(space, k + 1) if k + 1 <= dim else None
+        out[k] = HomologyBasis(bk, bup, p)
+    return out
 
 
 def _boundary_of_chain(chain, cols_data, p):
@@ -236,10 +234,10 @@ def mayer_vietoris(
     inter = intersection_complex(a, b)
     lo, hi = degrees if degrees is not None else (0, x.dimension)
 
-    bases_x = {k: _basis(x, k, p) for k in range(lo, hi + 2)}
-    bases_a = {k: _basis(a, k, p) for k in range(lo, hi + 1)}
-    bases_b = {k: _basis(b, k, p) for k in range(lo, hi + 1)}
-    bases_i = {k: _basis(inter, k, p) for k in range(lo, hi + 1)}
+    bases_x = _bases(boundary_columns, x, x.dimension, range(lo, hi + 2), p)
+    bases_a = _bases(boundary_columns, a, a.dimension, range(lo, hi + 1), p)
+    bases_b = _bases(boundary_columns, b, b.dimension, range(lo, hi + 1), p)
+    bases_i = _bases(boundary_columns, inter, inter.dimension, range(lo, hi + 1), p)
 
     simp = {
         ("x", k): x.simplices(k) for k in range(lo, hi + 2)
@@ -253,7 +251,7 @@ def mayer_vietoris(
         cols_data = boundary_columns(x, k + 1) if k + 1 <= x.dimension else (0, 0, {})
         inter_index = {s: i for i, s in enumerate(inter.simplices(k))}
         ks = simp[("x", k)]
-        cols = []
+        chains = []
         for rep in bx.reps:
             a_part = {
                 c: v for c, v in rep.items() if a.has_simplex(xs[c])
@@ -265,11 +263,8 @@ def mayer_vietoris(
                 if s not in inter_index:
                     raise AssertionError("zig-zag boundary left the intersection")
                 pushed[inter_index[s]] = v
-            cols.append(bases_i[k].express(pushed))
-        return tuple(
-            tuple(cols[j][i] for j in range(len(cols)))
-            for i in range(bases_i[k].dimension)
-        )
+            chains.append(pushed)
+        return coordinate_matrix(bases_i[k], chains)
 
     def alpha(k):
         ints = inter.simplices(k)
@@ -335,9 +330,9 @@ def pair_les_check(pair: SimplicialPair, ring="Q", degrees=None) -> ExactnessRep
     x, a = pair.total, pair.sub
     lo, hi = degrees if degrees is not None else (0, x.dimension)
 
-    bases_a = {k: _basis(a, k, p) for k in range(max(lo - 1, 0), hi + 1)}
-    bases_x = {k: _basis(x, k, p) for k in range(lo, hi + 1)}
-    bases_r = {k: _relative_basis(pair, k, p) for k in range(lo, hi + 2)}
+    bases_a = _bases(boundary_columns, a, a.dimension, range(max(lo - 1, 0), hi + 1), p)
+    bases_x = _bases(boundary_columns, x, x.dimension, range(lo, hi + 1), p)
+    bases_r = _bases(relative_boundary_columns, pair, x.dimension, range(lo, hi + 2), p)
 
     def i_star(k):
         return inclusion_matrix(
@@ -351,18 +346,11 @@ def pair_les_check(pair: SimplicialPair, ring="Q", degrees=None) -> ExactnessRep
         rel = [s for s in x.simplices(k) if not a.has_simplex(s)]
         rel_index = {s: i for i, s in enumerate(rel)}
         xs = x.simplices(k)
-        cols = []
-        for rep in bases_x[k].reps:
-            pushed = {}
-            for c, v in rep.items():
-                s = xs[c]
-                if s in rel_index:
-                    pushed[rel_index[s]] = v
-            cols.append(bases_r[k].express(pushed))
-        return tuple(
-            tuple(cols[j][i] for j in range(len(cols)))
-            for i in range(bases_r[k].dimension)
-        )
+        chains = [
+            {rel_index[xs[c]]: v for c, v in rep.items() if xs[c] in rel_index}
+            for rep in bases_x[k].reps
+        ]
+        return coordinate_matrix(bases_r[k], chains)
 
     def delta(k):
         """H_k(X, A) -> H_{k-1}(A): boundary of a relative cycle lies in A."""
@@ -371,8 +359,7 @@ def pair_les_check(pair: SimplicialPair, ring="Q", degrees=None) -> ExactnessRep
         xs_low = x.simplices(k - 1)
         xk_index = {s: i for i, s in enumerate(x.simplices(k))}
         a_index = {s: i for i, s in enumerate(a.simplices(k - 1))}
-        target = bases_a.get(k - 1)
-        cols = []
+        chains = []
         for rep in bases_r[k].reps:
             lifted = {xk_index[rel[c]]: v for c, v in rep.items()}
             bdry = _boundary_of_chain(lifted, cols_data, p)
@@ -382,11 +369,8 @@ def pair_les_check(pair: SimplicialPair, ring="Q", degrees=None) -> ExactnessRep
                 if s not in a_index:
                     raise AssertionError("relative cycle boundary left the subcomplex")
                 pushed[a_index[s]] = v
-            cols.append(target.express(pushed))
-        return tuple(
-            tuple(cols[j][i] for j in range(len(cols)))
-            for i in range(target.dimension)
-        )
+            chains.append(pushed)
+        return coordinate_matrix(bases_a[k - 1], chains)
 
     nodes = [
         SequenceNode(

@@ -289,6 +289,31 @@ def test_evaluate_explicit_negative_control():
     assert v.status == NOT_OBSTRUCTED
 
 
+def _shifted(complex_):
+    """The same complex with every vertex label raised by one, so 0 is unused."""
+    return SimplicialComplex(
+        complex_.vertex_count + 1,
+        tuple(tuple(v + 1 for v in f) for f in complex_.facets),
+    )
+
+
+def test_closed_total_space_without_vertex_zero_gets_a_verdict():
+    # a closed E is punctured at its smallest vertex, which need not be 0
+    plain = evaluate(StabilizationQuery(U=cx("s1"), E=cx("torus")))
+    shifted = evaluate(StabilizationQuery(U=cx("s1"), E=_shifted(cx("torus"))))
+    assert plain.status == shifted.status == OBSTRUCTED
+    assert shifted.evidence == plain.evidence
+
+
+def test_direct_route_on_a_base_without_vertex_zero_gets_a_verdict():
+    plain = trivial_bundle_one_point_obstruction(cx("s1"), cx("s1"), route="direct")
+    shifted = trivial_bundle_one_point_obstruction(
+        _shifted(cx("s1")), cx("s1"), route="direct"
+    )
+    assert plain.status == shifted.status == OBSTRUCTED
+    assert shifted.evidence == plain.evidence
+
+
 def test_evaluate_is_deterministic():
     q = StabilizationQuery(M=cx("klein"), U=cx("s1"))
     assert evaluate(q) == evaluate(q)
