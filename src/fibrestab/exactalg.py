@@ -3,13 +3,14 @@
 Everything here runs on arbitrary-precision Python ints, so no computation
 can silently overflow.  The pillars:
 
-* ``invariant_factors_sparse`` -- invariant factors of a sparse integer
-  matrix: unit pivots eliminated first, the small residue handed to
-  ``smith_normal_form``.  This is the production engine for homology over
-  every coefficient ring, since the field ranks of a matrix are read off
-  its invariant factors.
+* ``invariant_factors_sparse`` -- invariant factors of a sparse column
+  map: unit pivots eliminated by row operations, the residue handed to
+  ``smith_normal_form``, columns already accounted for skipped (clearing).
+  It reduces every boundary operator, and so serves homology over every
+  coefficient ring, since the field ranks are read off the factors.
 * ``smith_normal_form`` -- dense Smith decomposition of an integer matrix
-  with unimodular witnesses L, R such that L @ A @ R = diag(d) (padded).
+  with unimodular witnesses L, R such that L @ A @ R = diag(d) (padded);
+  the core of the sparse engine and the oracle the tests play against it.
 * ``_cancel`` and ``_normalize`` -- the one field reducer, over Q (p = 0)
   or Z/p on sparse integer dict-rows.  ``_cancel`` clears one column of a
   row with a pivot row; over Q both stay primitive-integer rows, so no
@@ -93,13 +94,6 @@ class IntegerMatrix:
 
     def to_rows(self):
         return [self.row(i) for i in range(self.rows)]
-
-    def transpose(self):
-        return IntegerMatrix(
-            self.cols,
-            self.rows,
-            tuple(self.at(i, j) for j in range(self.cols) for i in range(self.rows)),
-        )
 
     def __matmul__(self, other):
         if self.cols != other.rows:
@@ -278,36 +272,47 @@ def smith_normal_form(a: IntegerMatrix) -> SmithDecomposition:
 
 
 # ---------------------------------------------------------------------------
-# sparse invariant-factor engine (for larger boundary matrices)
+# sparse invariant-factor engine
 # ---------------------------------------------------------------------------
 
 
-def invariant_factors_sparse(rows, cols, entries):
-    """Invariant factors of a sparse integer matrix.
+def invariant_factors_sparse(rows, cols, columns, skip=(), pivots=None):
+    """Invariant factors of a sparse integer matrix, with clearing.
 
-    ``entries`` is an iterable of (i, j, v) triples.  Unit entries are
-    eliminated first with unimodular row operations (Markowitz-flavoured
-    pivoting); whatever residue is left afterwards is small and goes through
-    the dense Smith reduction.  Boundary matrices of simplicial complexes
-    are almost entirely unit entries, so this runs in roughly linear time
-    where the dense algorithm would be cubic.
+    ``columns`` maps each column j of the ``rows`` x ``cols`` matrix to its
+    nonzero entries {i: v}; it is not modified.  Columns in ``skip`` are
+    left out.  Unit entries are eliminated by row operations, shortest
+    column first, taking its unit entry with the shortest row; what is left
+    has no unit entry and goes through ``smith_normal_form``.  Rows used as
+    unit pivots are added to the set ``pivots`` when one is given.
+
+    Clearing (Chen & Kerber, EuroCG 2011; Bauer, Kerber, Reininghaus &
+    Wagner, PHAT, J. Symb. Comput. 78, 2017): the unit-pivot rows of
+    del_(k+1) may be skipped as columns of del_k.  In elimination order the
+    pivot rows s_t carry vectors b_t = s_t + sum f (rows still live at step
+    t), which span the same lattice as the pivot columns (the pivot block
+    is unit-triangular), so they lie in im del_(k+1), inside ker del_k.
+    Their coefficients on the skipped rows form a unit-triangular matrix,
+    so each skipped column of del_k is an integral combination of the kept
+    ones: the image lattice and the invariant factors do not change.  This
+    needs unit pivots; rows of the dense core are never reported.
+
+    del_2 of the triangle 012 clears the edge 01 as a column of del_1:
+
+    >>> used = set()
+    >>> invariant_factors_sparse(3, 1, {0: {0: 1, 1: -1, 2: 1}}, pivots=used)
+    (1,)
+    >>> used
+    {0}
+    >>> d1 = {0: {0: -1, 1: 1}, 1: {0: -1, 2: 1}, 2: {1: -1, 2: 1}}  # 01, 02, 12
+    >>> invariant_factors_sparse(3, 3, d1, skip=used), invariant_factors_sparse(3, 3, d1)
+    ((1, 1), (1, 1))
     """
+    col_map = {j: dict(c) for j, c in columns.items() if c and j not in skip}
     row_map = {}
-    col_map = {}
-    for i, j, v in entries:
-        if v == 0:
-            continue
-        row_map.setdefault(i, {})[j] = row_map.get(i, {}).get(j, 0) + v
-        col_map.setdefault(j, {})[i] = row_map[i][j]
-    # drop cancelled entries
-    for i in list(row_map):
-        for j in [j for j, v in row_map[i].items() if v == 0]:
-            del row_map[i][j]
-            del col_map[j][i]
-        if not row_map[i]:
-            del row_map[i]
-    for j in [j for j in col_map if not col_map[j]]:
-        del col_map[j]
+    for j, c in col_map.items():
+        for i, v in c.items():
+            row_map.setdefault(i, {})[j] = v
 
     ones = 0
     heap = [(len(c), j) for j, c in col_map.items()]
@@ -315,56 +320,53 @@ def invariant_factors_sparse(rows, cols, entries):
     while heap:
         length, j = heapq.heappop(heap)
         colj = col_map.get(j)
-        if colj is None:
-            continue
-        if len(colj) != length:
-            heapq.heappush(heap, (len(colj), j))
-            continue
-        # choose a unit pivot in this column with the shortest row
+        if colj is None or len(colj) != length:
+            continue  # eliminated, emptied or stale: a fresh entry is queued
         pivot = None
         for i, v in colj.items():
-            if v in (1, -1):
+            if v == 1 or v == -1:
                 key = (len(row_map[i]), i)
-                if pivot is None or key < pivot[0]:
-                    pivot = (key, i, v)
+                if pivot is None or key < pivot:
+                    pivot, pv = key, v
         if pivot is None:
-            continue  # no unit entry here; leave for the dense core
-        _, pi, pv = pivot
+            continue  # no unit entry here; leave it for the dense core
+        _, pi = pivot
+        del col_map[j]
+        del colj[pi]
         prow = row_map.pop(pi)
-        for jj in prow:
-            del col_map[jj][pi]
         del prow[j]
-        col_map.pop(j)
-        # row ops: row_i -= (v_i * pv) * prow   (pv*pv == 1)
-        victims = [(i, v) for i, v in colj.items()]
-        for i, v in victims:
+        # row_i -= (v_i * pv) * prow clears column j (pv * pv == 1)
+        for i, v in colj.items():
             factor = v * pv
             ri = row_map[i]
             del ri[j]
             for jj, w in prow.items():
                 nv = ri.get(jj, 0) - factor * w
-                cj = col_map[jj]
-                if nv == 0:
-                    ri.pop(jj, None)
-                    cj.pop(i, None)
-                else:
+                if nv:
                     ri[jj] = nv
-                    cj[i] = nv
-                    heapq.heappush(heap, (len(cj), jj))
+                    col_map[jj][i] = nv
+                else:
+                    del ri[jj]
+                    del col_map[jj][i]
             if not ri:
                 del row_map[i]
+        for jj in prow:
+            cj = col_map[jj]
+            del cj[pi]
+            if cj:
+                heapq.heappush(heap, (len(cj), jj))
+            else:
+                del col_map[jj]
         ones += 1
+        if pivots is not None:
+            pivots.add(pi)
 
     if not row_map:
         return (1,) * ones
-    live_rows = sorted(row_map)
-    live_cols = sorted({j for r in row_map.values() for j in r})
-    cidx = {j: k for k, j in enumerate(live_cols)}
-    dense = [[0] * len(live_cols) for _ in live_rows]
-    for k, i in enumerate(live_rows):
-        for j, v in row_map[i].items():
-            dense[k][cidx[j]] = v
-    core = smith_normal_form(IntegerMatrix.from_rows(dense))
+    ridx = {i: k for k, i in enumerate(sorted(row_map))}
+    data = {k: {ridx[i]: v for i, v in col_map[j].items()}
+            for k, j in enumerate(sorted(col_map))}
+    core = smith_normal_form(IntegerMatrix.from_columns(len(ridx), len(data), data))
     return (1,) * ones + core.factors
 
 

@@ -159,16 +159,14 @@ def test_sparse_engine_agrees_with_dense():
     rng = random.Random(21)
     for _ in range(40):
         m, n = rng.randint(1, 14), rng.randint(1, 14)
-        triples = []
+        dense = [[0] * n for _ in range(m)]
         for i in range(m):
             for j in range(n):
                 if rng.random() < 0.25:
-                    triples.append((i, j, rng.choice([-2, -1, 1, 1, -1, 3])))
-        dense = [[0] * n for _ in range(m)]
-        for i, j, v in triples:
-            dense[i][j] += v
+                    dense[i][j] = rng.choice([-2, -1, 1, 1, -1, 3])
+        columns = {j: {i: r[j] for i, r in enumerate(dense) if r[j]} for j in range(n)}
         expect = smith_normal_form(IntegerMatrix.from_rows(dense)).factors
-        got = invariant_factors_sparse(m, n, triples)
+        got = invariant_factors_sparse(m, n, columns)
         assert got == expect
 
 

@@ -5,13 +5,14 @@ standard groups of the named spaces).  One invariant-factor engine computes
 homology over every ring; its field Betti numbers are checked against the
 independent Gaussian rank ``rank_over_field`` of the boundary operators and
 against universal coefficients applied to the integral answer, and its
-dense/sparse dispatch against the dense Smith reduction.
+sparse elimination, with and without clearing, against the dense Smith
+reduction.
 """
 
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fibrestab.complexes import (
@@ -28,14 +29,13 @@ from fibrestab.complexes import (
 from fibrestab.exactalg import (
     AbelianGroup,
     IntegerMatrix,
+    invariant_factors_sparse,
     rank_over_field,
     smith_normal_form,
 )
 from fibrestab.homology import (
-    _SPARSE_CUTOFF,
     HomologyProfile,
     NotConnected,
-    _factors_of_columns,
     connected_components,
     homology,
     induced_map,
@@ -102,7 +102,7 @@ def oracle_betti(boundaries, p):
 def uct_cases():
     """(name, homology over a ring, boundary operators) per space.
 
-    The products' del_2 (189 x 324) takes the sparse path; the punctured
+    The products' del_2 (189 x 324) is the largest operator; the punctured
     pairs exercise relative homology.
     """
     spaces = [(name, catalog(name)) for name in EXPECTED_Z]
@@ -322,14 +322,11 @@ def test_random_complexes_satisfy_euler_and_uct(facets):
             )
 
 
-def test_factors_of_columns_match_dense_smith_across_cutoff():
-    """The dense/sparse dispatch returns the dense Smith factors on both
-    sides of the cutoff."""
+def test_sparse_engine_matches_dense_smith_across_shapes():
+    """The engine returns the dense Smith factors on empty, small and
+    large operators alike."""
     rng = random.Random(3)
-    side = 60  # side * side is the cutoff itself
-    shapes = [(0, 5), (5, 0), (7, 11), (side, side), (side, side + 1)]
-    shapes.append((side + 4, side + 9))
-    assert {r * c <= _SPARSE_CUTOFF for r, c in shapes} == {True, False}
+    shapes = [(0, 5), (5, 0), (7, 11), (60, 60), (60, 61), (64, 69)]
     for rows, cols in shapes:
         data = {}
         for j in range(cols):
@@ -338,7 +335,63 @@ def test_factors_of_columns_match_dense_smith_across_cutoff():
             if col:
                 data[j] = col
         want = smith_normal_form(IntegerMatrix.from_columns(rows, cols, data)).factors
-        assert _factors_of_columns(rows, cols, data) == want, (rows, cols)
+        assert invariant_factors_sparse(rows, cols, data) == want, (rows, cols)
+
+
+def dense_factors(boundary):
+    return smith_normal_form(IntegerMatrix.from_columns(*boundary)).factors
+
+
+def check_engine(boundaries, hom):
+    """Differential check of one chain complex against the dense oracles.
+
+    Every operator, top degree first, gives the dense Smith factors through
+    the sparse engine both uncleared and with the unit-pivot rows of the
+    operator above skipped as columns; ``hom(ring)`` (the production
+    profile) has the Z torsion of the dense factors and the Q, Z/2 and Z/3
+    Betti numbers of the Gaussian-rank oracle.
+    """
+    cleared = set()
+    for k in range(len(boundaries) - 1, 0, -1):
+        want = dense_factors(boundaries[k])
+        assert invariant_factors_sparse(*boundaries[k]) == want, k
+        pivots = set()
+        assert invariant_factors_sparse(*boundaries[k], cleared, pivots) == want, k
+        cleared = pivots
+    zprof = hom("Z")
+    for k in range(len(boundaries)):
+        up = dense_factors(boundaries[k + 1]) if k + 1 < len(boundaries) else ()
+        assert zprof.group(k).torsion == grp(*(d for d in up if d > 1)).torsion, k
+    assert betti(zprof) == oracle_betti(boundaries, 0)
+    for label, p in (("Q", 0), ("Z/2", 2), ("Z/3", 3)):
+        assert betti(hom(label)) == oracle_betti(boundaries, p), label
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    base=st.sampled_from([None, "rp2", "klein", "mobius"]),
+    extra=st.lists(st.lists(st.integers(0, 8), min_size=1, max_size=4), max_size=6),
+    pick=st.integers(0, 20),
+)
+@example(base="rp2", extra=[], pick=0)
+def test_sparse_engine_with_clearing_matches_dense_oracles(base, extra, pick):
+    """Random complexes, some glued onto a space with torsion, and the
+    pairs (X, X - star v)."""
+    facets = list(catalog(base).facets) if base else []
+    facets += [tuple(f) for f in extra]
+    if not facets:
+        return
+    cx = SimplicialComplex(9, tuple(facets))
+    dims = range(cx.dimension + 1)
+    check_engine(
+        [boundary_columns(cx, k) for k in dims], lambda ring: homology(cx, ring)
+    )
+    verts = cx.vertices()
+    pair = SimplicialPair(cx, puncture(cx, verts[pick % len(verts)]))
+    check_engine(
+        [relative_boundary_columns(pair, k) for k in dims],
+        lambda ring: relative_homology(pair, ring),
+    )
 
 
 # -- induced maps ----------------------------------------------------------------
