@@ -1,10 +1,13 @@
-"""Abstract simplicial complexes: constructions, boundary operators, catalog.
+"""Abstract simplicial complexes: constructions, chain complexes of
+complexes and pairs, catalog.
 
 A complex is stored by its maximal simplices (facets) over vertices
-0..vertex_count-1.  Simplices are sorted tuples of vertex indices; the
-k-simplices of the complex are ordered lexicographically, and boundary
-matrices orient faces by increasing vertex index with the usual (-1)^i
-signs, so del o del = 0 holds on the nose.
+0..vertex_count-1.  Simplices are sorted tuples of vertex indices, listed
+by one pass over the facets (``_faces``).  ``chain_complex`` orders the
+k-simplices spanning C_k (for a pair, those outside the subcomplex)
+lexicographically, indexes them once, and builds every boundary operator
+from those indices, orienting faces by increasing vertex index with the
+usual (-1)^i signs, so del o del = 0 holds on the nose.
 
 The ``catalog`` returns version-pinned triangulations of the recurring
 spaces (circle, sphere, torus, Klein bottle, Mobius band, projective plane,
@@ -81,32 +84,27 @@ class SimplicialComplex:
 
     @property
     def dimension(self):
-        return max((len(f) - 1 for f in self.facets), default=-1)
+        # facets are sorted by (size, lex), so the last one is the largest
+        return len(self.facets[-1]) - 1 if self.facets else -1
 
     def vertices(self):
         return sorted({v for f in self.facets for v in f})
 
     def simplices(self, k):
         """All k-simplices, lexicographically sorted."""
-        if k < 0:
-            return []
-        out = set()
-        for f in self.facets:
-            if len(f) >= k + 1:
-                out.update(combinations(f, k + 1))
-        return sorted(out)
+        faces = _faces(self)
+        return sorted(faces[k]) if 0 <= k < len(faces) else []
 
     def all_simplices(self):
-        return [s for k in range(self.dimension + 1) for s in self.simplices(k)]
+        """All simplices, ordered by (dimension, lex)."""
+        return [s for faces in _faces(self) for s in sorted(faces)]
 
     def has_simplex(self, simplex):
         s = set(simplex)
         return any(s <= set(f) for f in self.facets)
 
     def euler_characteristic(self):
-        return sum(
-            (-1) ** k * len(self.simplices(k)) for k in range(self.dimension + 1)
-        )
+        return sum((-1) ** k * len(faces) for k, faces in enumerate(_faces(self)))
 
     def is_subcomplex_of(self, other):
         return all(other.has_simplex(f) for f in self.facets)
@@ -148,34 +146,90 @@ class SimplicialPair:
 
 
 # ---------------------------------------------------------------------------
-# boundary operators
+# chain complexes
 # ---------------------------------------------------------------------------
 
 
-def boundary_columns(complex_: SimplicialComplex, k):
-    """Sparse boundary data: (rows, cols, {col: {row: sign}}).
+def _faces(complex_: SimplicialComplex):
+    """The k-simplices of ``complex_`` as one set per degree k = 0..dim,
+    collected in one pass over the facets."""
+    faces = [set() for _ in range(complex_.dimension + 1)]
+    for f in complex_.facets:
+        for k in range(len(f)):
+            faces[k].update(combinations(f, k + 1))
+    return faces
 
-    Internal building block shared by the dense matrix and the homology
-    engine; rows are (k-1)-simplices, columns k-simplices, both in
-    lexicographic order.
+
+@dataclass(frozen=True)
+class ChainComplex:
+    """Simplicial chain complex of a complex or a pair, degrees 0..dim.
+
+    ``simplices[k]`` lists the simplices spanning C_k in lexicographic
+    order, ``indices[k]`` maps each to its position there, and
+    ``boundaries[k]`` is del_k as (rows, cols, {col: {row: sign}}).  Chain
+    vectors are {position: coefficient} dicts over these orders.
     """
+
+    simplices: tuple
+    indices: tuple
+    boundaries: tuple
+
+    def cells(self, k):
+        """The k-simplices spanning C_k; none outside 0..dim."""
+        return self.simplices[k] if 0 <= k < len(self.simplices) else []
+
+    def index(self, k):
+        """Simplex -> position in ``cells(k)``."""
+        return self.indices[k] if 0 <= k < len(self.indices) else {}
+
+    def boundary(self, k):
+        """del_k; outside 0..dim the zero map (#(k-1)-cells, 0, {})."""
+        if 0 <= k < len(self.boundaries):
+            return self.boundaries[k]
+        return len(self.cells(k - 1)), 0, {}
+
+
+def chain_complex(total: SimplicialComplex, sub: SimplicialComplex | None = None):
+    """The chain complex of ``total``, or the quotient C(total)/C(sub).
+
+    Column j of del_k lists the faces of the j-th k-simplex, dropping i =
+    0..k in order, with sign (-1)^i; faces that lie in ``sub`` are left
+    out, and so are columns left empty by that (only relative ones can be).
+    """
+    faces = _faces(total)
+    if sub is not None:
+        for mine, theirs in zip(faces, _faces(sub)):
+            mine -= theirs
+    simplices = tuple(sorted(f) for f in faces)
+    indices = tuple({s: i for i, s in enumerate(ss)} for ss in simplices)
+    boundaries = []
+    for k, top in enumerate(simplices):
+        low = indices[k - 1] if k else {}
+        cols = {}
+        for j, s in enumerate(top):
+            col = {}
+            for i in range(k + 1):
+                row = low.get(s[:i] + s[i + 1 :])
+                if row is not None:
+                    col[row] = -1 if i % 2 else 1
+            if col:
+                cols[j] = col
+        boundaries.append((len(low), len(top), cols))
+    return ChainComplex(simplices, indices, tuple(boundaries))
+
+
+def transfer(chain, src: ChainComplex, dst: ChainComplex, k):
+    """A k-chain of ``src`` renamed to the positions of ``dst``; simplices
+    ``dst`` lacks are dropped."""
+    cells, index = src.cells(k), dst.index(k)
+    return {index[s]: v for c, v in chain.items() if (s := cells[c]) in index}
+
+
+def boundary_columns(complex_: SimplicialComplex, k):
+    """del_k of ``chain_complex(complex_)``; DegreeOutOfRange outside 0..dim."""
     if k < 0 or k > complex_.dimension:
-        raise DegreeOutOfRange(
-            f"degree {k} outside 0..{complex_.dimension}"
-        )
-    top = complex_.simplices(k)
-    if k == 0:
-        return 0, len(top), {}
-    low = complex_.simplices(k - 1)
-    index = {s: i for i, s in enumerate(low)}
-    cols = {}
-    for j, s in enumerate(top):
-        col = {}
-        for i in range(len(s)):
-            face = s[:i] + s[i + 1 :]
-            col[index[face]] = 1 if i % 2 == 0 else -1
-        cols[j] = col
-    return len(low), len(top), cols
+        raise DegreeOutOfRange(f"degree {k} outside 0..{complex_.dimension}")
+    return chain_complex(complex_).boundary(k)
 
 
 def boundary_matrix(complex_: SimplicialComplex, k) -> IntegerMatrix:
@@ -274,10 +328,7 @@ def barycentric_subdivision(x: SimplicialComplex) -> SimplicialComplex:
     (dimension, lex) ordering); facets are maximal inclusion chains inside
     the facets of x.
     """
-    all_faces = sorted(
-        {s for f in x.facets for k in range(len(f)) for s in combinations(f, k + 1)},
-        key=lambda s: (len(s), s),
-    )
+    all_faces = x.all_simplices()
     index = {s: i for i, s in enumerate(all_faces)}
 
     facets = []

@@ -1,5 +1,9 @@
 """Simplicial homology over Z, Q and Z/p, with induced maps of inclusions.
 
+Every computation here reads the boundary operators (and, for cycle bases
+and induced maps, the simplex indices) of one ``complexes.chain_complex``
+per space.
+
 One engine serves every coefficient ring: ``exactalg``'s sparse
 elimination reduces each boundary operator to its invariant factors, top
 degree first, skipping the columns that were unit-pivot rows of the
@@ -26,7 +30,9 @@ from fractions import Fraction
 from .complexes import (
     SimplicialComplex,
     SimplicialPair,
-    boundary_columns,
+    boundary_columns,  # unused here; perfbench/tracing.py wraps this name
+    chain_complex,
+    transfer,
 )
 from .exactalg import (
     AbelianGroup,
@@ -126,7 +132,8 @@ class HomologyProfile:
 def _profile_from_boundaries(boundaries, label, modulus):
     """Assemble a profile from a list of (rows, cols, data) per degree.
 
-    ``boundaries[k]`` is del_k; the chain group dimension in degree k is the
+    ``boundaries[k]`` is del_k, and an empty list gives the empty profile.
+    The chain group dimension in degree k is the
     column count of del_k, cleared columns included: clearing (see
     ``invariant_factors_sparse``) leaves the factors unchanged.  Over Z the
     factors above 1 of del_(k+1) are the torsion of H_k; over Z/p a factor
@@ -159,40 +166,18 @@ def homology(complex_: SimplicialComplex, ring="Z") -> HomologyProfile:
     against a union-find count.
     """
     label, modulus = parse_ring(ring)
-    dim = complex_.dimension
-    if dim < 0:
-        return HomologyProfile(label, ())
-    boundaries = [boundary_columns(complex_, k) for k in range(dim + 1)]
-    return _profile_from_boundaries(boundaries, label, modulus)
+    return _profile_from_boundaries(chain_complex(complex_).boundaries, label, modulus)
 
 
 def relative_boundary_columns(pair: SimplicialPair, k):
     """Boundary operator of the quotient chain complex C(total)/C(sub)."""
-    total, sub = pair.total, pair.sub
-    top = [s for s in total.simplices(k) if not sub.has_simplex(s)]
-    if k == 0:
-        return 0, len(top), {}
-    low = [s for s in total.simplices(k - 1) if not sub.has_simplex(s)]
-    index = {s: i for i, s in enumerate(low)}
-    cols = {}
-    for j, s in enumerate(top):
-        col = {}
-        for i in range(len(s)):
-            face = s[:i] + s[i + 1 :]
-            if face in index:
-                col[index[face]] = 1 if i % 2 == 0 else -1
-        if col:
-            cols[j] = col
-    return len(low), len(top), cols
+    return chain_complex(pair.total, pair.sub).boundary(k)
 
 
 def relative_homology(pair: SimplicialPair, ring="Z") -> HomologyProfile:
     """Homology of the pair (total, sub) via the quotient chain complex."""
     label, modulus = parse_ring(ring)
-    dim = pair.total.dimension
-    if dim < 0:
-        return HomologyProfile(label, ())
-    boundaries = [relative_boundary_columns(pair, k) for k in range(dim + 1)]
+    boundaries = chain_complex(pair.total, pair.sub).boundaries
     return _profile_from_boundaries(boundaries, label, modulus)
 
 
@@ -339,31 +324,17 @@ class InducedMap:
         return matrix_rank(self.matrix, parse_ring(self.ring)[1])
 
 
-def homology_basis(complex_: SimplicialComplex, k, ring="Q") -> HomologyBasis:
-    label, modulus = parse_ring(ring)
-    if modulus is None:
-        raise ValueError("homology bases are a field-coefficient construction")
-    dim = complex_.dimension
-    bk = boundary_columns(complex_, k) if 0 <= k <= dim else (0, 0, {})
-    bup = boundary_columns(complex_, k + 1) if k + 1 <= dim else None
-    return HomologyBasis(bk, bup, modulus)
-
-
 def coordinate_matrix(basis, chains):
     """Matrix whose j-th column is ``basis.express(chains[j])``."""
     cols = [basis.express(chain) for chain in chains]
     return tuple(tuple(col[i] for col in cols) for i in range(basis.dimension))
 
 
-def inclusion_matrix(dom_basis, dom_simplices, cod_basis, cod_index):
-    """Matrix of an inclusion-induced map in the stored bases.
-
-    ``dom_simplices`` lists the domain's simplices by column and
-    ``cod_index`` maps each simplex to its codomain column.
-    """
+def inclusion_matrix(dom_basis, cod_basis, dom, cod, k):
+    """Matrix of H_k(dom) -> H_k(cod), induced by the inclusion of chain
+    complexes, in the stored bases."""
     return coordinate_matrix(
-        cod_basis,
-        [{cod_index[dom_simplices[c]]: v for c, v in rep.items()} for rep in dom_basis.reps],
+        cod_basis, [transfer(rep, dom, cod, k) for rep in dom_basis.reps]
     )
 
 
@@ -372,22 +343,18 @@ def induced_map(pair: SimplicialPair, k, ring="Q") -> InducedMap:
     label, modulus = parse_ring(ring)
     if modulus is None:
         raise ValueError("induced maps are computed over a field")
-    sub, total = pair.sub, pair.total
-    basis_sub = homology_basis(sub, k, label)
-    basis_tot = homology_basis(total, k, label)
-    sub_simplices = sub.simplices(k)
-    tot_index = {s: i for i, s in enumerate(total.simplices(k))}
-    matrix = inclusion_matrix(basis_sub, sub_simplices, basis_tot, tot_index)
+    sub, total = chain_complex(pair.sub), chain_complex(pair.total)
+    basis_sub = HomologyBasis(sub.boundary(k), sub.boundary(k + 1), modulus)
+    basis_tot = HomologyBasis(total.boundary(k), total.boundary(k + 1), modulus)
 
-    def chain(reps, simplices):
-        return tuple(
-            {simplices[c]: v for c, v in rep.items()} for rep in reps
-        )
+    def chains(basis, cx):
+        cells = cx.cells(k)
+        return tuple({cells[c]: v for c, v in rep.items()} for rep in basis.reps)
 
     return InducedMap(
         degree=k,
         ring=label,
-        matrix=matrix,
-        domain_reps=chain(basis_sub.reps, sub_simplices),
-        codomain_reps=chain(basis_tot.reps, total.simplices(k)),
+        matrix=inclusion_matrix(basis_sub, basis_tot, sub, total, k),
+        domain_reps=chains(basis_sub, sub),
+        codomain_reps=chains(basis_tot, total),
     )

@@ -12,9 +12,12 @@ Three consumers share one generic checker:
 * ``kunneth_check`` compares the homology of the staircase product against
   the tensor/Tor formula from the factors.
 
-All homology classes are handled through the deterministic cycle bases of
-``homology.HomologyBasis``, so the matrices in the reports are stable
-across runs.
+Each space (the total complex, the pieces, their intersection, the pair)
+is one ``complexes.chain_complex``: its boundary operators give the cycle
+bases and the zig-zags, and ``complexes.transfer`` carries chains between
+the spaces by simplex.  All homology classes are handled through the
+deterministic cycle bases of ``homology.HomologyBasis``, so the matrices in
+the reports are stable across runs.
 """
 
 from __future__ import annotations
@@ -22,7 +25,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .complexes import SimplicialComplex, SimplicialPair, boundary_columns, product
+from .complexes import (
+    DegreeOutOfRange,
+    SimplicialComplex,
+    SimplicialPair,
+    _faces,
+    boundary_columns,  # unused here; perfbench/tracing.py wraps this name
+    chain_complex,
+    product,
+    transfer,
+)
 from .exactalg import AbelianGroup, matrix_rank, tensor_product, tor_product
 from .homology import (
     HomologyBasis,
@@ -30,7 +42,7 @@ from .homology import (
     homology,
     inclusion_matrix,
     parse_ring,
-    relative_boundary_columns,
+    relative_boundary_columns,  # unused here; perfbench/tracing.py wraps this name
 )
 
 
@@ -164,19 +176,25 @@ def check_exactness(nodes, ring="Q") -> ExactnessReport:
 
 
 # ---------------------------------------------------------------------------
-# shared chain-level plumbing
+# shared chain-level plumbing: cycle bases, chain boundaries, chain transfers
 # ---------------------------------------------------------------------------
 
 
-def _bases(columns, space, dim, degrees, p):
-    """Cycle bases by degree of the chain complex of ``space`` (a complex or
-    a pair), whose boundary operators ``columns(space, k)`` stop at ``dim``."""
-    out = {}
-    for k in degrees:
-        bk = columns(space, k) if 0 <= k <= dim else (0, 0, {})
-        bup = columns(space, k + 1) if k + 1 <= dim else None
-        out[k] = HomologyBasis(bk, bup, p)
-    return out
+def _bases(chains, degrees, p):
+    """Cycle bases by degree of the chain complex ``chains``."""
+    return {
+        k: HomologyBasis(chains.boundary(k), chains.boundary(k + 1), p)
+        for k in degrees
+    }
+
+
+def _degree_range(degrees, x):
+    """(lo, hi), by default 0..dim of ``x``.  The bases in degree lo read
+    del_(lo+1), so lo may go down to -1, the zero group below C_0."""
+    lo, hi = degrees if degrees is not None else (0, x.dimension)
+    if lo + 1 < 0:
+        raise DegreeOutOfRange(f"degree {lo + 1} outside 0..{x.dimension}")
+    return lo, hi
 
 
 def _boundary_of_chain(chain, cols_data, p):
@@ -190,6 +208,14 @@ def _boundary_of_chain(chain, cols_data, p):
     return {r: v for r, v in out.items() if v}
 
 
+def _push(chain, src, dst, k, message):
+    """``transfer`` that raises AssertionError(message) rather than drop."""
+    out = transfer(chain, src, dst, k)
+    if len(out) != len(chain):
+        raise AssertionError(message)
+    return out
+
+
 def _zero_matrix(rows, cols):
     return tuple(tuple(0 for _ in range(cols)) for _ in range(rows))
 
@@ -201,12 +227,8 @@ def _zero_matrix(rows, cols):
 
 def intersection_complex(a: SimplicialComplex, b: SimplicialComplex):
     """Subcomplex of simplices lying in both a and b."""
-    common = [s for s in a.all_simplices() if b.has_simplex(s)]
-    if not common:
-        return SimplicialComplex(max(a.vertex_count, b.vertex_count), ())
-    return SimplicialComplex(
-        max(a.vertex_count, b.vertex_count), tuple(common)
-    )
+    common = (s for mine, theirs in zip(_faces(a), _faces(b)) for s in mine & theirs)
+    return SimplicialComplex(max(a.vertex_count, b.vertex_count), tuple(common))
 
 
 def mayer_vietoris(
@@ -231,58 +253,34 @@ def mayer_vietoris(
         if not (a.has_simplex(f) or b.has_simplex(f)):
             raise NotACover(f"facet {f} lies in neither cover piece")
 
-    inter = intersection_complex(a, b)
-    lo, hi = degrees if degrees is not None else (0, x.dimension)
+    cx, ca, cb = chain_complex(x), chain_complex(a), chain_complex(b)
+    ci = chain_complex(intersection_complex(a, b))
+    lo, hi = _degree_range(degrees, x)
 
-    bases_x = _bases(boundary_columns, x, x.dimension, range(lo, hi + 2), p)
-    bases_a = _bases(boundary_columns, a, a.dimension, range(lo, hi + 1), p)
-    bases_b = _bases(boundary_columns, b, b.dimension, range(lo, hi + 1), p)
-    bases_i = _bases(boundary_columns, inter, inter.dimension, range(lo, hi + 1), p)
-
-    simp = {
-        ("x", k): x.simplices(k) for k in range(lo, hi + 2)
-    }
-    idx_x = {k: {s: i for i, s in enumerate(simp[("x", k)])} for k in range(lo, hi + 2)}
+    bases_x = _bases(cx, range(lo, hi + 2), p)
+    bases_a = _bases(ca, range(lo, hi + 1), p)
+    bases_b = _bases(cb, range(lo, hi + 1), p)
+    bases_i = _bases(ci, range(lo, hi + 1), p)
 
     def connecting(k):
         """delta: H_{k+1}(X) -> H_k(A cap B) by the zig-zag."""
-        bx = bases_x[k + 1]
-        xs = simp[("x", k + 1)]
-        cols_data = boundary_columns(x, k + 1) if k + 1 <= x.dimension else (0, 0, {})
-        inter_index = {s: i for i, s in enumerate(inter.simplices(k))}
-        ks = simp[("x", k)]
         chains = []
-        for rep in bx.reps:
-            a_part = {
-                c: v for c, v in rep.items() if a.has_simplex(xs[c])
-            }
-            bdry = _boundary_of_chain(a_part, cols_data, p)
-            pushed = {}
-            for r, v in bdry.items():
-                s = ks[r]
-                if s not in inter_index:
-                    raise AssertionError("zig-zag boundary left the intersection")
-                pushed[inter_index[s]] = v
-            chains.append(pushed)
+        for rep in bases_x[k + 1].reps:
+            a_part = transfer(rep, cx, ca, k + 1)
+            bdry = _boundary_of_chain(a_part, ca.boundary(k + 1), p)
+            chains.append(
+                _push(bdry, ca, ci, k, "zig-zag boundary left the intersection")
+            )
         return coordinate_matrix(bases_i[k], chains)
 
     def alpha(k):
-        ints = inter.simplices(k)
-        ia = inclusion_matrix(
-            bases_i[k], ints, bases_a[k], {s: i for i, s in enumerate(a.simplices(k))}
-        )
-        ib = inclusion_matrix(
-            bases_i[k], ints, bases_b[k], {s: i for i, s in enumerate(b.simplices(k))}
-        )
+        ia = inclusion_matrix(bases_i[k], bases_a[k], ci, ca, k)
+        ib = inclusion_matrix(bases_i[k], bases_b[k], ci, cb, k)
         return tuple(list(ia) + list(ib))
 
     def beta(k):
-        ja = inclusion_matrix(
-            bases_a[k], a.simplices(k), bases_x[k], idx_x[k]
-        )
-        jb = inclusion_matrix(
-            bases_b[k], b.simplices(k), bases_x[k], idx_x[k]
-        )
+        ja = inclusion_matrix(bases_a[k], bases_x[k], ca, cx, k)
+        jb = inclusion_matrix(bases_b[k], bases_x[k], cb, cx, k)
         rows = bases_x[k].dimension
         out = []
         for i in range(rows):
@@ -328,48 +326,28 @@ def pair_les_check(pair: SimplicialPair, ring="Q", degrees=None) -> ExactnessRep
     if p is None:
         raise ValueError("pair sequence checking runs over a field")
     x, a = pair.total, pair.sub
-    lo, hi = degrees if degrees is not None else (0, x.dimension)
+    cx, ca, cr = chain_complex(x), chain_complex(a), chain_complex(x, a)
+    lo, hi = _degree_range(degrees, x)
 
-    bases_a = _bases(boundary_columns, a, a.dimension, range(max(lo - 1, 0), hi + 1), p)
-    bases_x = _bases(boundary_columns, x, x.dimension, range(lo, hi + 1), p)
-    bases_r = _bases(relative_boundary_columns, pair, x.dimension, range(lo, hi + 2), p)
+    bases_a = _bases(ca, range(lo - 1, hi + 1), p)
+    bases_x = _bases(cx, range(lo, hi + 1), p)
+    bases_r = _bases(cr, range(lo, hi + 2), p)
 
     def i_star(k):
-        return inclusion_matrix(
-            bases_a[k],
-            a.simplices(k),
-            bases_x[k],
-            {s: i for i, s in enumerate(x.simplices(k))},
-        )
+        return inclusion_matrix(bases_a[k], bases_x[k], ca, cx, k)
 
     def j_star(k):
-        rel = [s for s in x.simplices(k) if not a.has_simplex(s)]
-        rel_index = {s: i for i, s in enumerate(rel)}
-        xs = x.simplices(k)
-        chains = [
-            {rel_index[xs[c]]: v for c, v in rep.items() if xs[c] in rel_index}
-            for rep in bases_x[k].reps
-        ]
+        chains = [transfer(rep, cx, cr, k) for rep in bases_x[k].reps]
         return coordinate_matrix(bases_r[k], chains)
 
     def delta(k):
         """H_k(X, A) -> H_{k-1}(A): boundary of a relative cycle lies in A."""
-        rel = [s for s in x.simplices(k) if not a.has_simplex(s)]
-        cols_data = boundary_columns(x, k) if 0 <= k <= x.dimension else (0, 0, {})
-        xs_low = x.simplices(k - 1)
-        xk_index = {s: i for i, s in enumerate(x.simplices(k))}
-        a_index = {s: i for i, s in enumerate(a.simplices(k - 1))}
         chains = []
         for rep in bases_r[k].reps:
-            lifted = {xk_index[rel[c]]: v for c, v in rep.items()}
-            bdry = _boundary_of_chain(lifted, cols_data, p)
-            pushed = {}
-            for r, v in bdry.items():
-                s = xs_low[r]
-                if s not in a_index:
-                    raise AssertionError("relative cycle boundary left the subcomplex")
-                pushed[a_index[s]] = v
-            chains.append(pushed)
+            bdry = _boundary_of_chain(transfer(rep, cr, cx, k), cx.boundary(k), p)
+            chains.append(
+                _push(bdry, cx, ca, k - 1, "relative cycle boundary left the subcomplex")
+            )
         return coordinate_matrix(bases_a[k - 1], chains)
 
     nodes = [

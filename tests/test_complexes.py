@@ -1,9 +1,10 @@
 """Complex construction and boundary operator tests."""
 
 import json
+from itertools import combinations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fibrestab.complexes import (
@@ -14,16 +15,20 @@ from fibrestab.complexes import (
     UnknownName,
     UnknownVertex,
     barycentric_subdivision,
+    boundary_columns,
     boundary_matrix,
     catalog,
     catalog_entry,
     catalog_names,
+    chain_complex,
     cone,
     link,
     product,
     puncture,
 )
 from fibrestab.exactalg import IntegerMatrix
+from fibrestab.homology import relative_boundary_columns
+from fibrestab.sequences import intersection_complex
 
 
 # -- strategy for small random complexes ------------------------------------
@@ -81,7 +86,10 @@ def _maximal_faces_oracle(facets):
     )
 )
 def test_maximal_face_filter_matches_all_pairs_oracle(facets):
-    assert complex_from(facets).facets == _maximal_faces_oracle(facets)
+    cx = complex_from(facets)
+    oracle = _maximal_faces_oracle(facets)
+    assert cx.facets == oracle
+    assert cx.dimension == max(len(f) - 1 for f in oracle)
 
 
 # -- boundary matrices --------------------------------------------------------
@@ -128,6 +136,127 @@ def test_boundary_squares_to_zero_random(facets):
     cx = complex_from(facets)
     for k in range(1, cx.dimension + 1):
         assert (boundary_matrix(cx, k - 1) @ boundary_matrix(cx, k)).is_zero()
+
+
+# -- chain complexes against the per-degree construction ----------------------
+#
+# The oracle is the construction ``chain_complex`` replaced: each degree
+# enumerated from the facets on its own, relative chains filtered by a
+# facet scan, and the intersection of two complexes filtered the same way.
+
+
+def _oracle_simplices(cx, k):
+    if k < 0:
+        return []
+    out = set()
+    for f in cx.facets:
+        if len(f) >= k + 1:
+            out.update(combinations(f, k + 1))
+    return sorted(out)
+
+
+def _oracle_has_simplex(cx, simplex):
+    s = set(simplex)
+    return any(s <= set(f) for f in cx.facets)
+
+
+def _oracle_boundary_columns(cx, k):
+    top = _oracle_simplices(cx, k)
+    if k == 0:
+        return 0, len(top), {}
+    low = _oracle_simplices(cx, k - 1)
+    index = {s: i for i, s in enumerate(low)}
+    cols = {}
+    for j, s in enumerate(top):
+        col = {}
+        for i in range(len(s)):
+            face = s[:i] + s[i + 1 :]
+            col[index[face]] = 1 if i % 2 == 0 else -1
+        cols[j] = col
+    return len(low), len(top), cols
+
+
+def _oracle_relative_cells(total, sub, k):
+    return [s for s in _oracle_simplices(total, k) if not _oracle_has_simplex(sub, s)]
+
+
+def _oracle_relative_boundary_columns(total, sub, k):
+    top = _oracle_relative_cells(total, sub, k)
+    if k == 0:
+        return 0, len(top), {}
+    low = _oracle_relative_cells(total, sub, k - 1)
+    index = {s: i for i, s in enumerate(low)}
+    cols = {}
+    for j, s in enumerate(top):
+        col = {}
+        for i in range(len(s)):
+            face = s[:i] + s[i + 1 :]
+            if face in index:
+                col[index[face]] = 1 if i % 2 == 0 else -1
+        if col:
+            cols[j] = col
+    return len(low), len(top), cols
+
+
+def _oracle_intersection(a, b):
+    every = [s for k in range(a.dimension + 1) for s in _oracle_simplices(a, k)]
+    common = [s for s in every if _oracle_has_simplex(b, s)]
+    return SimplicialComplex(max(a.vertex_count, b.vertex_count), tuple(common))
+
+
+def _exact(boundary):
+    """A boundary operator with its column and entry order made visible."""
+    rows, cols, data = boundary
+    return rows, cols, [(j, list(col.items())) for j, col in data.items()]
+
+
+small_facets = st.lists(st.lists(st.integers(0, 7), min_size=1, max_size=5), max_size=10)
+
+
+@settings(max_examples=150, deadline=None)
+@given(facets=small_facets, other=small_facets, pick=st.integers(0, 63))
+@example(facets=[], other=[], pick=0)
+@example(facets=[[0, 1, 2], [2, 3]], other=[[1, 2, 3]], pick=1)
+def test_chain_complex_matches_the_per_degree_oracle(facets, other, pick):
+    """Simplices, indices and every boundary operator of complexes and of
+    the pairs (X, X - star v), (X, X) and (X, one facet), entry order
+    included, plus the simplex lists and the intersection."""
+    cx = complex_from(facets)
+    dim = cx.dimension
+    subs = [None, cx]
+    if cx.facets:
+        verts = cx.vertices()
+        subs.append(puncture(cx, verts[pick % len(verts)]))
+        subs.append(SimplicialComplex(8, (cx.facets[pick % len(cx.facets)],)))
+    for k in range(-1, dim + 2):
+        assert cx.simplices(k) == _oracle_simplices(cx, k), k
+    assert cx.all_simplices() == [
+        s for k in range(dim + 1) for s in _oracle_simplices(cx, k)
+    ]
+    for sub in subs:
+        chains = chain_complex(cx, sub)
+        assert len(chains.boundaries) == dim + 1
+        for k in range(-1, dim + 2):
+            if sub is None:
+                cells = _oracle_simplices(cx, k)
+                if 0 <= k <= dim:
+                    want = _oracle_boundary_columns(cx, k)
+                    assert _exact(boundary_columns(cx, k)) == _exact(want), k
+                else:
+                    want = (len(_oracle_simplices(cx, k - 1)), 0, {})
+                    with pytest.raises(DegreeOutOfRange):
+                        boundary_columns(cx, k)
+            else:
+                cells = _oracle_relative_cells(cx, sub, k)
+                want = _oracle_relative_boundary_columns(cx, sub, k)
+                pair = SimplicialPair(cx, sub)
+                assert _exact(relative_boundary_columns(pair, k)) == _exact(want), k
+            assert chains.cells(k) == cells, (k, sub)
+            assert chains.index(k) == {s: i for i, s in enumerate(cells)}, (k, sub)
+            assert _exact(chains.boundary(k)) == _exact(want), (k, sub)
+    for b in subs[1:] + [complex_from(other)]:
+        assert intersection_complex(cx, b) == _oracle_intersection(cx, b)
+        assert intersection_complex(b, cx) == _oracle_intersection(b, cx)
 
 
 # -- product ------------------------------------------------------------------

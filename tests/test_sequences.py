@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fibrestab.complexes import (
+    DegreeOutOfRange,
     SimplicialComplex,
     SimplicialPair,
     catalog_entry,
@@ -320,6 +321,24 @@ def test_pair_sequence_degree_window():
     assert report.verdict
     assert report.labels[0] == "H3(X,A)"
     assert report.labels[-1] == "H1(X,A)"
+
+
+def test_degree_windows_reach_down_to_degree_minus_one():
+    """Degree -1 is the zero group below C_0: a window down to it gets a
+    report, one below it is rejected, for both sequences."""
+    disk = cx("disk")
+    rim = SimplicialComplex(3, ((0, 1), (0, 2), (1, 2)))
+    pair = SimplicialPair(disk, rim)
+    report = pair_les_check(pair, ring="Q", degrees=(-1, 1))
+    assert report.verdict
+    assert report.labels[-3:] == ("H-1(A)", "H-1(X)", "H-1(X,A)")
+    assert report.dimensions[-3:] == (0, 0, 0)
+    s2, a, b = sphere_disk_cover()
+    assert mayer_vietoris(s2, a, b, degrees=(-1, 1)).verdict
+    with pytest.raises(DegreeOutOfRange):
+        pair_les_check(pair, ring="Q", degrees=(-2, 1))
+    with pytest.raises(DegreeOutOfRange):
+        mayer_vietoris(s2, a, b, degrees=(-2, 1))
 
 
 def test_pair_sequence_requires_field():
