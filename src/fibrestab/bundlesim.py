@@ -457,6 +457,13 @@ def _check_finite(atlas, theta, u, t_now):
         )
 
 
+def _step_count(duration, step):
+    """Number of fixed steps that covers ``duration`` (at least one)."""
+    if not step > 0:
+        raise ValueError("step must be positive")
+    return max(1, int(round(duration / step)))
+
+
 def _batch_integrate(
     system,
     chart,
@@ -470,6 +477,7 @@ def _batch_integrate(
     record_switch_events=False,
     plateau_tol=None,
     plateau_angle_only=False,
+    watch=None,
 ):
     """Fixed-step RK4 over a batch of chart-local states.
 
@@ -477,15 +485,20 @@ def _batch_integrate(
     state).  With ``plateau_tol`` set, integration freezes once every
     batch element moves less than the tolerance over a checkpoint block
     (angle only if ``plateau_angle_only``); remaining snapshots repeat
-    the frozen state.  Returns (times, charts, angles, fibres, switches,
-    events) with one recorded row per requested step.
+    the frozen state.  The finite check and chart switching run every
+    ``switch_stride`` steps and at the last step.  ``watch`` is an
+    optional (steps, callback) pair: at each of those recorded steps the
+    callback gets the step and copies of the rows recorded so far, the
+    last as a pass ending there would leave it (checked and switched),
+    and may raise to stop the pass.  Returns (times, charts, angles,
+    fibres, switches, events) with one recorded row per requested step.
     """
     atlas = system.atlas
     chart = np.array(chart, dtype=np.int8)
     theta = np.array(theta, dtype=float)
     u = np.array(u, dtype=float)
-    n_steps = max(1, int(round(duration / step)))
-    record_steps = sorted(set(int(k) for k in record_steps) | {0})
+    n_steps = _step_count(duration, step)
+    record_steps = sorted(set(int(k) for k in record_steps))
     record_at = {k: i for i, k in enumerate(record_steps)}
     n_rec = len(record_steps)
     batch = theta.shape[0]
@@ -532,6 +545,7 @@ def _batch_integrate(
         x += np.multiply(d1, sixth, out=d1)
 
     for k in range(1, n_steps + 1):
+        checks = k % switch_stride == 0 or k == n_steps
         if frozen_at is None:
             fields(chart, theta, u, f1, g1)
             stage(half, f1, g1, f2, g2)
@@ -542,7 +556,7 @@ def _batch_integrate(
             if atlas.fibre == "circle":
                 np.mod(u, TWO_PI, out=u)
             t_now = k * step
-            if k % switch_stride == 0 or k == n_steps:
+            if checks:
                 _check_finite(atlas, theta, u, t_now)
                 pre = (
                     (chart.copy(), theta.copy(), u.copy())
@@ -575,6 +589,18 @@ def _batch_integrate(
                 block_u = u.copy()
         if k in record_at:
             snapshot(record_at[k], k * step)
+        if watch is not None and k in watch[0]:
+            rows = [
+                a[: record_at[k] + 1].copy()
+                for a in (rec_t, rec_chart, rec_theta, rec_u)
+            ]
+            if frozen_at is None and not checks:
+                end = [r[-1] for r in rows[1:]]
+                _check_finite(atlas, *end[1:], k * step)
+                _apply_switches(
+                    atlas, *end, last_switch.copy(), k * step, dwell, switches.copy()
+                )
+            watch[1](k, *rows)
 
     return rec_t, rec_chart, rec_theta, rec_u, switches, events
 
@@ -671,12 +697,12 @@ def integrate(
     global (angle, fibre) pair.  Chart switches insert a pre/post sample
     pair at the switch time so the record shows the transition exactly.
     """
-    if step <= 0:
-        raise ValueError("step must be positive")
+    n_steps = _step_count(duration, step)
+    if record_stride < 1:
+        raise ValueError("record_stride must be a positive step count")
     if verify:
         _require_compatible(system)
     chart0, theta0, u0 = _normalize_start(system, start)
-    n_steps = max(1, int(round(duration / step)))
     record_steps = list(range(0, n_steps, record_stride)) + [n_steps]
     rec_t, rec_c, rec_th, rec_u, switches, events = _batch_integrate(
         system,
@@ -767,25 +793,14 @@ def _lane_statuses(system, chart, theta, u, mode, eps):
     return np.where(diverged, DIVERGED, status)
 
 
-def _tail_statuses(system, states, mode, eps, duration, step, dwell):
-    """Integrate normalized start states and classify each lane on its
-    trailing ``dwell`` window, sampled every 0.1 time units."""
-    n_steps = max(1, int(round(duration / step)))
-    tail_stride = max(1, int(round(0.1 / step)))
-    first_tail = max(0, n_steps - int(round(dwell / step)))
-    record_steps = list(range(first_tail, n_steps, tail_stride)) + [n_steps]
-    rec_t, rec_c, rec_th, rec_u, _sw, _ev = _batch_integrate(
-        system,
-        [c for c, _t, _u in states],
-        [t for _c, t, _u in states],
-        [u for _c, _t, u in states],
-        duration,
-        step,
-        record_steps,
-        dwell=dwell,
-    )
-    tail = rec_t >= duration - dwell
-    return _lane_statuses(system, rec_c[tail], rec_th[tail], rec_u[tail], mode, eps)
+def _tail_steps(duration, step, dwell):
+    """The steps a verdict reads: the trailing ``dwell`` window of a run
+    of ``duration``, every 0.1 time units, ending at its last step."""
+    n_steps = _step_count(duration, step)
+    stride = max(1, int(round(0.1 / step)))
+    first = max(0, n_steps - int(round(dwell / step)))
+    steps = {0, n_steps, *range(first, n_steps, stride)}
+    return sorted(k for k in steps if k * step >= duration - dwell)
 
 
 # ---------------------------------------------------------------------------
@@ -800,6 +815,10 @@ class GridSpec:
     theta_cells: int = 100
     u_cells: int = 50
     u_range: tuple = (-2.0, 2.0)
+
+    def __post_init__(self):
+        if self.theta_cells < 1 or self.u_cells < 1:
+            raise ValueError("a grid needs at least one cell each way")
 
     def angle_values(self):
         return np.arange(self.theta_cells) * (TWO_PI / self.theta_cells)
@@ -893,7 +912,11 @@ def basin(
         for i, v in enumerate(fibres)
     ]
     states = [_normalize_start(system, (a, v)) for _j, _i, a, v in starts]
-    status = _tail_statuses(system, states, mode, eps, duration, step, dwell)
+    tail = _tail_steps(duration, step, dwell)
+    _t, *rows, _sw, _ev = _batch_integrate(
+        system, *zip(*states), duration, step, tail, dwell=dwell
+    )
+    status = _lane_statuses(system, *rows, mode, eps)
     converged = status == _GOAL[mode]
 
     counts = {}
@@ -989,8 +1012,10 @@ def flow_retraction(
 
     r(s, z) is the flow of the closed loop at time s/(1-s), with r(1, z)
     read off at ``t_max`` (integration freezes early once the whole batch
-    stops moving).  Every sample must converge -- that is checked first
-    and violations raise NonConvergentSample.  The report records the
+    stops moving).  Every sample must converge -- one pass integrates
+    the samples and the target, classifies the samples on their last
+    second before ``precheck_duration`` and raises NonConvergentSample
+    there, before any later step is taken.  The report records the
     worst identity defect at s=0 (exact zero by construction: no step is
     taken), the worst motion of the target under r, and the worst
     endpoint distance to the target.
@@ -999,9 +1024,10 @@ def flow_retraction(
         raise ValueError(f"unknown target kind {target_kind!r}")
     if sorted(s_grid) != list(s_grid) or s_grid[0] != 0.0 or s_grid[-1] != 1.0:
         raise ValueError("s_grid must increase from 0.0 to 1.0")
+    n_pre = _step_count(precheck_duration, step)
     times = [s / (1.0 - s) if s < 1.0 else t_max for s in s_grid]
-    record_steps = [int(round(t / step)) for t in times]
-    if sorted(set(record_steps)) != record_steps:
+    grid_steps = [int(round(t / step)) for t in times]
+    if sorted(set(grid_steps)) != grid_steps:
         raise ValueError(
             "s_grid times collide at this step and t_max; raise t_max "
             "or thin the grid so each s maps to a distinct record step"
@@ -1019,22 +1045,11 @@ def flow_retraction(
             for _ in range(n_samples)
         ]
     states = [_normalize_start(system, p) for p in sample_points]
-
-    # precondition: every sample converges under the plain flow
     mode = "strong" if target_kind == "point" else "weak"
     if mode == "strong" and atlas.to_chart_b(system.x_star) is None:
         raise ValueError("retraction target sits on a seam")
-    status = _tail_statuses(system, states, mode, eps, precheck_duration, step, 1.0)
-    failures = [
-        (i, DIVERGED if s == DIVERGED else TIMEOUT)
-        for i, s in enumerate(status)
-        if s != _GOAL[mode]
-    ]
-    if failures:
-        raise NonConvergentSample(
-            f"{len(failures)} of {len(states)} samples do not converge "
-            f"(first failures: {failures[:3]})"
-        )
+    if not states:
+        raise ValueError("a retraction needs at least one sample")
 
     # append the target itself so its motion under r is measured too
     if target_kind == "point":
@@ -1046,27 +1061,54 @@ def flow_retraction(
             for v in np.linspace(lo, hi, 5)
         ]
     batch = states + target_states
-    chart0 = [c for c, _t, _u in batch]
-    theta0 = [t for _c, t, _u in batch]
-    u0 = [u for _c, _t, u in batch]
+    chart0, theta0, u0 = zip(*batch)
+    n = len(states)
 
-    rec_t, rec_c, rec_th, rec_u, _sw, _ev = _batch_integrate(
+    # One pass serves the precheck and the s-grid: the precheck reads the
+    # samples' trailing second before step n_pre, the report the s-grid
+    # rows, the last as a pass ending at t_max leaves it.
+    tail = _tail_steps(precheck_duration, step, 1.0)
+    steps = sorted({n_pre, *tail, *grid_steps})
+    row = {k: i for i, k in enumerate(steps)}
+    grid = []
+
+    def watch(k, _rec_t, *rec):
+        if k == grid_steps[-1]:
+            grid.extend(a[[row[j] for j in grid_steps]] for a in rec)
+        if k != n_pre:
+            return
+        # precondition: every sample converges under the plain flow
+        tail_rows = [row[j] for j in tail]
+        status = _lane_statuses(system, *(a[tail_rows, :n] for a in rec), mode, eps)
+        failures = [
+            (i, DIVERGED if s == DIVERGED else TIMEOUT)
+            for i, s in enumerate(status)
+            if s != _GOAL[mode]
+        ]
+        if failures:
+            raise NonConvergentSample(
+                f"{len(failures)} of {n} samples do not converge "
+                f"(first failures: {failures[:3]})"
+            )
+
+    _batch_integrate(
         system,
         chart0,
         theta0,
         u0,
-        t_max,
+        max(t_max, precheck_duration),
         step,
-        record_steps,
+        steps,
         plateau_tol=1e-14,
         plateau_angle_only=(target_kind == "fibre"),
+        watch=({n_pre, grid_steps[-1]}, watch),
     )
+    rec_c, rec_th, rec_u = grid
 
-    n = len(states)
     # identity defect at s=0: recorded row 0 vs the requested start
     d_theta = np.abs(rec_th[0, :n] - np.array(theta0[:n]))
     d_u = np.abs(rec_u[0, :n] - np.array(u0[:n]))
-    identity_defect = float(max(np.max(d_theta), np.max(d_u))) if n else 0.0
+    identity_defect = float(max(np.max(d_theta), np.max(d_u)))
 
     ang, point = _target_distances(system, rec_c, rec_th, rec_u)
     dist = ang if target_kind == "fibre" else point

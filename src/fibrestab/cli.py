@@ -18,7 +18,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 from .bundlesim import (
@@ -63,21 +63,6 @@ EXIT_INCOMPATIBLE = 5
 
 class InputProblem(Exception):
     """User-facing input error (maps to exit code 2)."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One parsed invocation; a fixed config yields byte-identical output."""
-
-    subcommand: str
-    inputs: tuple
-    ring: str = "Z"
-    field: str = "Q"
-    degrees: tuple | None = None
-    reduced: bool = False
-    output: str | None = None
-    csv_out: str | None = None
-    seed: int | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -168,29 +153,30 @@ def _parse_degrees(text):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each takes the parsed argparse namespace
 # ---------------------------------------------------------------------------
 
 
-def cmd_homology(cfg):
-    cx = resolve_complex(cfg.inputs[0])
-    profile = homology(cx, cfg.ring)
-    if cfg.reduced:
+def cmd_homology(args):
+    cx = resolve_complex(args.complex)
+    profile = homology(cx, args.ring)
+    if args.reduced:
         profile = reduced_profile(profile)
-    _emit(profile.to_json_dict(), cfg.output)
+    _emit(profile.to_json_dict(), args.output)
     return EXIT_OK
 
 
-def cmd_check(cfg):
-    kind, rest = cfg.inputs[0], cfg.inputs[1:]
+def cmd_check(args):
+    kind, rest = args.what, args.inputs
+    degrees = _parse_degrees(args.degrees)
     if kind == "kunneth":
         if len(rest) != 2:
             raise InputProblem("check kunneth takes two complexes")
         report = kunneth_check(
             resolve_complex(rest[0]),
             resolve_complex(rest[1]),
-            cfg.ring,
-            cfg.degrees,
+            args.ring,
+            degrees,
         )
         ok = report.consistent
     elif kind == "mv":
@@ -206,19 +192,19 @@ def cmd_check(cfg):
             resolve_complex(data["total"]),
             resolve_complex(pieces[0]),
             resolve_complex(pieces[1]),
-            cfg.field,
-            cfg.degrees,
+            args.field,
+            degrees,
         )
         ok = report.verdict
     elif kind == "pair-les":
         if len(rest) != 2:
             raise InputProblem("check pair-les takes total and sub complexes")
         pair = SimplicialPair(resolve_complex(rest[0]), resolve_complex(rest[1]))
-        report = pair_les_check(pair, cfg.field, cfg.degrees)
+        report = pair_les_check(pair, args.field, degrees)
         ok = report.verdict
     else:
         raise InputProblem(f"unknown check {kind!r} (kunneth, mv, pair-les)")
-    _emit(report.to_json_dict(), cfg.output)
+    _emit(report.to_json_dict(), args.output)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -245,16 +231,16 @@ def _parse_query(data, base):
     )
 
 
-def cmd_obstruct(cfg):
+def cmd_obstruct(args):
     queries = [
         _parse_query(_load_json_file(path), Path(path).parent)
-        for path in cfg.inputs
+        for path in args.queries
     ]
     if len(queries) == 1:
         payload = evaluate(queries[0]).to_json_dict()
     else:
         payload = [evaluate(q).to_json_dict() for q in queries]
-    _emit(payload, cfg.output)
+    _emit(payload, args.output)
     return EXIT_OK
 
 
@@ -272,20 +258,20 @@ def _basin_csv_rows(report):
             yield (j, i, _fmt(angle), _fmt(fibre), status)
 
 
-def cmd_simulate(cfg):
+def cmd_simulate(args):
     try:
-        config = load_experiment(_load_json_file(cfg.inputs[0]))
+        config = load_experiment(_load_json_file(args.experiment))
     except ValueError as exc:
         raise InputProblem(str(exc)) from exc
-    if cfg.seed is not None and isinstance(config, RetractionExperiment):
-        config = replace(config, seed=cfg.seed)
+    if args.seed is not None and isinstance(config, RetractionExperiment):
+        config = replace(config, seed=args.seed)
     try:
         report = run_experiment(config)
     except CompatibilityNotVerified as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCOMPATIBLE
-    _emit(report.to_json_dict(), cfg.output)
-    if cfg.csv_out:
+    _emit(report.to_json_dict(), args.output)
+    if args.csv_out:
         if isinstance(report, TrajectoryRecord):
             rows = report.to_csv_rows()
         elif isinstance(report, BasinReport):
@@ -294,7 +280,7 @@ def cmd_simulate(cfg):
             raise InputProblem(
                 "--csv-out applies to integrate and basin experiments"
             )
-        with open(cfg.csv_out, "w", newline="", encoding="utf-8") as fh:
+        with open(args.csv_out, "w", newline="", encoding="utf-8") as fh:
             csv.writer(fh).writerows(rows)
     if isinstance(report, CompatibilityReport) and not report.passed:
         # the residual report was emitted above; flag the failure
@@ -302,7 +288,7 @@ def cmd_simulate(cfg):
     return EXIT_OK
 
 
-def cmd_catalog(cfg):
+def cmd_catalog(args):
     payload = []
     for name in catalog_names():
         entry = catalog_entry(name)
@@ -317,7 +303,7 @@ def cmd_catalog(cfg):
                 "description": entry.description,
             }
         )
-    _emit(payload, cfg.output)
+    _emit(payload, args.output)
     return EXIT_OK
 
 
@@ -373,44 +359,10 @@ def _build_parser():
     return parser
 
 
-def _config_from_args(args):
-    if args.subcommand == "homology":
-        return RunConfig(
-            subcommand="homology",
-            inputs=(args.complex,),
-            ring=args.ring,
-            reduced=args.reduced,
-            output=args.output,
-        )
-    if args.subcommand == "check":
-        return RunConfig(
-            subcommand="check",
-            inputs=(args.what, *args.inputs),
-            ring=args.ring,
-            field=args.field,
-            degrees=_parse_degrees(args.degrees),
-            output=args.output,
-        )
-    if args.subcommand == "obstruct":
-        return RunConfig(
-            subcommand="obstruct", inputs=tuple(args.queries), output=args.output
-        )
-    if args.subcommand == "simulate":
-        return RunConfig(
-            subcommand="simulate",
-            inputs=(args.experiment,),
-            csv_out=args.csv_out,
-            seed=args.seed,
-            output=args.output,
-        )
-    return RunConfig(subcommand="catalog", inputs=(), output=args.output)
-
-
 def main(argv=None):
     args = _build_parser().parse_args(argv)
     try:
-        cfg = _config_from_args(args)
-        return _DISPATCH[cfg.subcommand](cfg)
+        return _DISPATCH[args.subcommand](args)
     except InputProblem as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

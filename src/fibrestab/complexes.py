@@ -99,15 +99,12 @@ class SimplicialComplex:
         """All simplices, ordered by (dimension, lex)."""
         return [s for faces in _faces(self) for s in sorted(faces)]
 
-    def has_simplex(self, simplex):
-        s = set(simplex)
-        return any(s <= set(f) for f in self.facets)
-
     def euler_characteristic(self):
         return sum((-1) ** k * len(faces) for k, faces in enumerate(_faces(self)))
 
     def is_subcomplex_of(self, other):
-        return all(other.has_simplex(f) for f in self.facets)
+        faces = _faces(other)
+        return all(_has_face(faces, f) for f in self.facets)
 
     # -- serialization ------------------------------------------------------
 
@@ -158,6 +155,11 @@ def _faces(complex_: SimplicialComplex):
         for k in range(len(f)):
             faces[k].update(combinations(f, k + 1))
     return faces
+
+
+def _has_face(faces, simplex):
+    """Whether a sorted, non-empty ``simplex`` is among ``_faces`` sets."""
+    return len(simplex) <= len(faces) and simplex in faces[len(simplex) - 1]
 
 
 @dataclass(frozen=True)

@@ -30,6 +30,7 @@ from .complexes import (
     SimplicialComplex,
     SimplicialPair,
     _faces,
+    _has_face,
     boundary_columns,  # unused here; perfbench/tracing.py wraps this name
     chain_complex,
     product,
@@ -249,8 +250,9 @@ def mayer_vietoris(
         raise ValueError("Mayer-Vietoris checking runs over a field")
     if not (a.is_subcomplex_of(x) and b.is_subcomplex_of(x)):
         raise NotACover("cover pieces must be subcomplexes of the total complex")
+    faces_a, faces_b = _faces(a), _faces(b)
     for f in x.facets:
-        if not (a.has_simplex(f) or b.has_simplex(f)):
+        if not (_has_face(faces_a, f) or _has_face(faces_b, f)):
             raise NotACover(f"facet {f} lies in neither cover piece")
 
     cx, ca, cb = chain_complex(x), chain_complex(a), chain_complex(b)

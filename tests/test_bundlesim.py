@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fibrestab import bundlesim
 from fibrestab.bundlesim import (
     CONVERGED_FIBRE,
     CONVERGED_POINT,
+    DEFAULT_S_GRID,
     DIVERGED,
     TIMEOUT,
     TWO_PI,
@@ -25,9 +27,13 @@ from fibrestab.bundlesim import (
     NonConvergentSample,
     NonFiniteState,
     RetractionExperiment,
+    RetractionReport,
     TrajectoryRecord,
     _batch_integrate,
+    _fibre_sample_band,
+    _lane_statuses,
     _normalize_start,
+    _target_distances,
     assemble_system,
     basin,
     builtin_system,
@@ -668,6 +674,181 @@ def test_retraction_s_grid_validation():
         flow_retraction(pend, t_max=5.0)
 
 
+def _two_pass_retraction(
+    system, seen, sample_points=None, s_grid=DEFAULT_S_GRID, n_samples=200, seed=0,
+    t_max=1e3, step=1e-3, eps=1e-3, fixed_tol=1e-9, target_kind="point",
+    precheck_duration=50.0,
+):
+    """The retraction as two passes: a precheck batch of the samples over
+    ``precheck_duration``, then the retraction batch again from t = 0.
+    Appends to ``seen`` the rows and statuses the precheck classified,
+    then the rows the report measured."""
+    times = [s / (1.0 - s) if s < 1.0 else t_max for s in s_grid]
+    record_steps = [int(round(t / step)) for t in times]
+    atlas = system.atlas
+    if sample_points is None:
+        rng = np.random.default_rng(seed)
+        lo, hi = _fibre_sample_band(atlas.fibre)
+        if atlas.fibre == "line":
+            lo, hi = -2.0, 2.0
+        sample_points = [
+            (float(rng.uniform(0.0, TWO_PI)), float(rng.uniform(lo, hi)))
+            for _ in range(n_samples)
+        ]
+    states = [_normalize_start(system, p) for p in sample_points]
+    mode = "strong" if target_kind == "point" else "weak"
+
+    n_steps = max(1, int(round(precheck_duration / step)))
+    tail_stride = max(1, int(round(0.1 / step)))
+    first_tail = max(0, n_steps - int(round(1.0 / step)))
+    tail_steps = [0, *range(first_tail, n_steps, tail_stride), n_steps]
+    rec_t, rec_c, rec_th, rec_u, _sw, _ev = _batch_integrate(
+        system, *zip(*states), precheck_duration, step, tail_steps
+    )
+    tail = rec_t >= precheck_duration - 1.0
+    rows = (rec_c[tail], rec_th[tail], rec_u[tail])
+    status = _lane_statuses(system, *rows, mode, eps)
+    seen.append((*rows, status))
+    failures = [
+        (i, DIVERGED if s == DIVERGED else TIMEOUT)
+        for i, s in enumerate(status)
+        if s != GOAL[mode]
+    ]
+    if failures:
+        raise NonConvergentSample(
+            f"{len(failures)} of {len(states)} samples do not converge "
+            f"(first failures: {failures[:3]})"
+        )
+
+    if target_kind == "point":
+        target_states = [_normalize_start(system, (system.x_star, system.u_star))]
+    else:
+        lo, hi = _fibre_sample_band(atlas.fibre)
+        target_states = [
+            _normalize_start(system, (system.x_star, v)) for v in np.linspace(lo, hi, 5)
+        ]
+    batch = states + target_states
+    theta0 = [t for _c, t, _u in batch]
+    u0 = [u for _c, _t, u in batch]
+    rec_t, rec_c, rec_th, rec_u, _sw, _ev = _batch_integrate(
+        system, *zip(*batch), t_max, step, record_steps,
+        plateau_tol=1e-14, plateau_angle_only=(target_kind == "fibre"),
+    )
+    n = len(states)
+    d_theta = np.abs(rec_th[0, :n] - np.array(theta0[:n]))
+    d_u = np.abs(rec_u[0, :n] - np.array(u0[:n]))
+    seen.append((rec_c, rec_th, rec_u))
+    ang, point = _target_distances(system, rec_c, rec_th, rec_u)
+    dist = ang if target_kind == "fibre" else point
+    return RetractionReport(
+        system=system.name,
+        target_kind=target_kind,
+        s_grid=tuple(s_grid),
+        sample_count=n,
+        t_max=t_max,
+        identity_defect=float(max(np.max(d_theta), np.max(d_u))),
+        fixed_on_target_defect=float(np.max(dist[:, n:])),
+        endpoint_defect=float(np.max(dist[-1, :n])),
+        eps=eps,
+        fixed_tol=fixed_tol,
+    )
+
+
+def _outcome(run):
+    try:
+        return run()
+    except NonConvergentSample as exc:
+        return f"NonConvergentSample: {exc}"
+
+
+@pytest.mark.parametrize(
+    "name, kw, same_rows",
+    [
+        # the batch freezes by t = 32, before the precheck ends at 40
+        (
+            "linear_patch",
+            dict(sample_points=[(X_STAR, 0.5), (X_STAR, -0.3)], t_max=100.0,
+                 precheck_duration=40.0),
+            False,
+        ),
+        # precheck step 71, not a multiple of the switch stride: sample 2
+        # leaves chart A on that very step
+        (
+            "damped_pendulum",
+            dict(n_samples=20, seed=0, step=0.01, t_max=20.0, precheck_duration=0.71),
+            True,
+        ),
+        # s = 0.9753 is t = 39.49, inside the precheck's trailing second
+        # but not one of its steps
+        (
+            "damped_pendulum",
+            dict(n_samples=40, seed=0, step=0.01, s_grid=(*DEFAULT_S_GRID[:-1], 0.9753, 1.0),
+                 t_max=200.0, precheck_duration=40.0),
+            True,
+        ),
+        ("damped_pendulum", dict(n_samples=12, seed=1, step=0.01, t_max=20.03,
+                                 precheck_duration=30.0), True),
+        # t_max step 71, before the precheck step: sample 2 leaves chart A
+        # on it, and the report reads the state a pass ending there has
+        (
+            "damped_pendulum",
+            dict(n_samples=20, seed=0, step=0.01, s_grid=(0.0, 0.2, 1.0), t_max=0.71,
+                 precheck_duration=40.0),
+            True,
+        ),
+        ("fibre_drift", dict(n_samples=20, seed=3, step=0.01, t_max=100.0,
+                             target_kind="fibre", precheck_duration=30.0), True),
+        ("mobius_damped", dict(n_samples=30, seed=2, step=0.05, t_max=20.0,
+                               target_kind="fibre", precheck_duration=30.0), True),
+        ("mobius_damped", dict(n_samples=30, seed=2, step=0.05, t_max=20.0,
+                               precheck_duration=30.55), True),
+    ],
+    ids=["freeze-before-precheck", "switch-on-precheck-step", "pendulum",
+         "precheck-past-t_max", "switch-on-t_max-step", "fibre-drift",
+         "mobius-fibre-past-t_max",
+         "mobius-point-past-t_max"],
+)
+def test_one_pass_retraction_matches_the_two_pass_oracle(monkeypatch, name, kw, same_rows):
+    system = builtin_system(name)
+    want_seen, got_seen, calls, measured = [], [], [], []
+    want = _outcome(lambda: _two_pass_retraction(system, want_seen, **kw))
+
+    def counted(*args, **kwargs):
+        calls.append(args[4])
+        return _batch_integrate(*args, **kwargs)
+
+    def recorded(*args):
+        status = _lane_statuses(*args)
+        got_seen.append((*args[1:4], status))
+        return status
+
+    def distances(*args):
+        measured.append(args[1:])
+        return _target_distances(*args)
+
+    monkeypatch.setattr(bundlesim, "_batch_integrate", counted)
+    monkeypatch.setattr(bundlesim, "_lane_statuses", recorded)
+    monkeypatch.setattr(bundlesim, "_target_distances", distances)
+    got = _outcome(lambda: flow_retraction(system, verify=False, **kw))
+    monkeypatch.undo()
+
+    assert got == want
+    assert calls == [max(kw["t_max"], kw["precheck_duration"])]
+    (*want_rows, want_status), *want_report = want_seen
+    [(*got_rows, got_status)] = got_seen
+    assert got_status.tolist() == want_status.tolist()
+    if same_rows:
+        for g, w in zip(got_rows, want_rows):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+    else:
+        # the one pass classified the frozen state
+        assert not all(np.array_equal(g, w) for g, w in zip(got_rows, want_rows))
+    # the report reads the s-grid rows, the last one as the pass ends at t_max
+    if want_report:
+        for g, w in zip(measured[-1], want_report[0]):
+            assert g.dtype == w.dtype and np.array_equal(g, w)
+
+
 def test_retraction_report_json():
     lin = builtin_system("linear_patch")
     rep = flow_retraction(
@@ -752,6 +933,21 @@ def test_load_experiment_rejects_bad_specs():
         load_experiment({"kind": "basin"})
     with pytest.raises(ValueError):
         load_experiment({"kind": "teleport", "system": "linear_patch"})
+    for cells in (0, -2):
+        with pytest.raises(ValueError, match="at least one cell"):
+            load_experiment(
+                {"kind": "basin", "system": "linear_patch", "grid": {"theta_cells": cells}}
+            )
+    # the simulators reject the rest as the spec runs, before any step
+    for spec, message in (
+        ({"kind": "basin", "step": 0}, "step must be positive"),
+        ({"kind": "retraction", "step": 0}, "step must be positive"),
+        ({"kind": "integrate", "step": 0}, "step must be positive"),
+        ({"kind": "retraction", "n_samples": 0}, "at least one sample"),
+        ({"kind": "integrate", "record_stride": 0}, "record_stride"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            run_experiment(load_experiment({"system": "linear_patch", **spec}))
 
 
 def test_run_experiment_dispatch():

@@ -357,6 +357,16 @@ def test_simulate_unknown_kind_is_exit_2(capsys, tmp_path):
     assert "kind" in err
 
 
+def test_simulate_zero_step_is_exit_2(capsys, tmp_path):
+    path = write_json(
+        tmp_path / "e.json", {"kind": "basin", "system": "linear_patch", "step": 0}
+    )
+    code, out, err = run_cli(capsys, "simulate", path)
+    assert code == 2
+    assert out == ""
+    assert err == "error: step must be positive\n"
+
+
 def test_shipped_experiment_specs_parse():
     root = resources.files("fibrestab").joinpath("data/experiments")
     names = sorted(p.name for p in root.iterdir() if p.name.endswith(".json"))

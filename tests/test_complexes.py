@@ -220,7 +220,8 @@ small_facets = st.lists(st.lists(st.integers(0, 7), min_size=1, max_size=5), max
 def test_chain_complex_matches_the_per_degree_oracle(facets, other, pick):
     """Simplices, indices and every boundary operator of complexes and of
     the pairs (X, X - star v), (X, X) and (X, one facet), entry order
-    included, plus the simplex lists and the intersection."""
+    included, plus the simplex lists, the intersection and the
+    subcomplex test."""
     cx = complex_from(facets)
     dim = cx.dimension
     subs = [None, cx]
@@ -257,6 +258,9 @@ def test_chain_complex_matches_the_per_degree_oracle(facets, other, pick):
     for b in subs[1:] + [complex_from(other)]:
         assert intersection_complex(cx, b) == _oracle_intersection(cx, b)
         assert intersection_complex(b, cx) == _oracle_intersection(b, cx)
+        for small, big in ((b, cx), (cx, b)):
+            want = all(_oracle_has_simplex(big, f) for f in small.facets)
+            assert small.is_subcomplex_of(big) == want
 
 
 # -- product ------------------------------------------------------------------
