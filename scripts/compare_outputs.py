@@ -12,8 +12,10 @@ PYTHONPATH, from a working directory of its own, so ``--output`` and
 
 The list covers ``homology`` on every catalog entry over Z, Q, Z/2 and
 Z/3; ``check kunneth``, ``check pair-les`` and ``check mv``, exit-2 and
-exit-4 inputs included; the 77 obstruction fixture rows as one batch and
-the non-manifold query; every shipped experiment; and small retraction
+exit-4 inputs included; the 77 obstruction fixture rows as one batch, the
+non-manifold query and single queries (a product, a derived product, a
+total space with boundary, a cone punctured at its apex, weak queries
+with and without a fibre); every shipped experiment; and small retraction
 specs that converge, that fail the precheck and that are malformed.  All
 inputs are built from this checkout's data files into one temporary
 directory, which is removed at the end; nothing else is written.
@@ -143,6 +145,23 @@ def _commands(inputs, skip_slow):
         inputs / "nonmanifold.json", {"E": "suspension.json", "mode": "strong", "one_point": True}
     )
     cmds.append(("obstruct non-manifold", ["obstruct", nonmanifold], []))
+    torus = _catalog("torus")
+    _write(
+        inputs / "cone_torus.json",
+        _complex(torus["vertex_count"] + 1, [f + [torus["vertex_count"]] for f in torus["facets"]]),
+    )
+    single = {
+        "product": {"M": "torus", "U": "s1", "mode": "strong"},
+        "derived": {"M": "t3", "U": "rp2", "mode": "weak"},
+        "explicit boundary": {"E": "cylinder", "mode": "strong"},
+        "explicit cone": {"E": "cone_torus.json", "U": "disk", "mode": "weak"},
+        "explicit cone apex": {"E": "cone_torus.json", "U": "torus", "mode": "weak"},
+        "explicit weak": {"E": "torus", "U": "s1", "mode": "weak"},
+        "explicit weak without U": {"E": "torus", "mode": "weak"},
+    }
+    for name, query in single.items():
+        path = _write(inputs / f"query_{name.replace(' ', '_')}.json", query)
+        cmds.append((f"obstruct {name}", ["obstruct", path], []))
 
     for spec in sorted((DATA / "experiments").glob("*.json")):
         if skip_slow and spec.stem == "pendulum_basin":

@@ -7,7 +7,8 @@ by one pass over the facets (``_faces``).  ``chain_complex`` orders the
 k-simplices spanning C_k (for a pair, those outside the subcomplex)
 lexicographically, indexes them once, and builds every boundary operator
 from those indices, orienting faces by increasing vertex index with the
-usual (-1)^i signs, so del o del = 0 holds on the nose.
+usual (-1)^i signs, so del o del = 0 holds on the nose.  Leaving out
+``ChainComplex.star(v)`` gives the chain complex of ``puncture(x, v)``.
 
 The ``catalog`` returns version-pinned triangulations of the recurring
 spaces (circle, sphere, torus, Klein bottle, Mobius band, projective plane,
@@ -189,6 +190,10 @@ class ChainComplex:
         if 0 <= k < len(self.boundaries):
             return self.boundaries[k]
         return len(self.cells(k - 1)), 0, {}
+
+    def star(self, v):
+        """Per degree, the positions of the simplices containing vertex v."""
+        return tuple({j for j, s in enumerate(ss) if v in s} for ss in self.simplices)
 
 
 def chain_complex(total: SimplicialComplex, sub: SimplicialComplex | None = None):

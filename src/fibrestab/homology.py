@@ -2,7 +2,7 @@
 
 Every computation here reads the boundary operators (and, for cycle bases
 and induced maps, the simplex indices) of one ``complexes.chain_complex``
-per space.
+per space; ``profile(cc, ring, without=v)`` reads off it every puncture too.
 
 One engine serves every coefficient ring: ``exactalg``'s sparse
 elimination reduces each boundary operator to its invariant factors, top
@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexes import (
+    ChainComplex,
     SimplicialComplex,
     SimplicialPair,
     boundary_columns,  # unused here; perfbench/tracing.py wraps this name
@@ -129,21 +130,26 @@ class HomologyProfile:
         return "[" + ", ".join(str(g) for g in self.groups) + "]"
 
 
-def _profile_from_boundaries(boundaries, label, modulus):
+def _profile_from_boundaries(boundaries, label, modulus, drop=None):
     """Assemble a profile from a list of (rows, cols, data) per degree.
 
     ``boundaries[k]`` is del_k, and an empty list gives the empty profile.
-    The chain group dimension in degree k is the
-    column count of del_k, cleared columns included: clearing (see
-    ``invariant_factors_sparse``) leaves the factors unchanged.  Over Z the
-    factors above 1 of del_(k+1) are the torsion of H_k; over Z/p a factor
-    counts towards the rank only when p does not divide it.
+    Degree k has the column count of del_k as chain rank, cleared columns
+    included (clearing, see ``invariant_factors_sparse``, leaves the factors
+    unchanged), less the columns ``drop[k]`` leaves out.  With ``drop``,
+    trailing degrees without chains are trimmed, as a puncture ends at its
+    own dimension; relative profiles keep their empty top degrees.  Over Z
+    the factors above 1 of del_(k+1) are the torsion of H_k; over Z/p a
+    factor counts towards the rank only when p does not divide it.
     """
     dim = len(boundaries) - 1
-    factors, cleared = [()] * (dim + 2), ()
+    star = (frozenset(),) * (dim + 1) if drop is None else drop
+    while drop is not None and dim >= 0 and boundaries[dim][1] == len(star[dim]):
+        dim -= 1
+    factors, cleared = [()] * (dim + 2), set()
     for k in range(dim, 0, -1):  # top degree first, for clearing
         pivots = set()
-        factors[k] = invariant_factors_sparse(*boundaries[k], cleared, pivots)
+        factors[k] = invariant_factors_sparse(*boundaries[k], cleared | star[k], pivots)
         cleared = pivots
 
     def rank(fs):
@@ -152,10 +158,24 @@ def _profile_from_boundaries(boundaries, label, modulus):
     groups = []
     for k in range(dim + 1):
         up = factors[k + 1]
-        free = boundaries[k][1] - rank(factors[k]) - rank(up)
+        free = boundaries[k][1] - len(star[k]) - rank(factors[k]) - rank(up)
         torsion = [d for d in up if d > 1] if modulus is None else []
         groups.append(AbelianGroup.from_cyclic_orders([0] * free + torsion))
     return HomologyProfile(label, tuple(groups))
+
+
+def profile(cc: ChainComplex, ring="Z", without=None) -> HomologyProfile:
+    """Homology profile of a chain complex; with ``without`` = v, that of
+    the complex punctured at v (the columns of ``cc.star(v)`` left out).
+    A triangle boundary punctured at vertex 0 is the path 1-2:
+
+    >>> from .complexes import SimplicialComplex
+    >>> circle = chain_complex(SimplicialComplex(3, ((0, 1), (0, 2), (1, 2))))
+    >>> str(profile(circle)), str(profile(circle, without=0))
+    ('[Z, Z]', '[Z, 0]')
+    """
+    drop = None if without is None else cc.star(without)
+    return _profile_from_boundaries(cc.boundaries, *parse_ring(ring), drop)
 
 
 def homology(complex_: SimplicialComplex, ring="Z") -> HomologyProfile:
@@ -163,10 +183,10 @@ def homology(complex_: SimplicialComplex, ring="Z") -> HomologyProfile:
 
     The empty complex has an empty profile.  Degree-0 free rank always
     equals the number of connected components, which the tests assert
-    against a union-find count.
+    against a union-find count.  Only the boundaries stay alive in elimination.
     """
-    label, modulus = parse_ring(ring)
-    return _profile_from_boundaries(chain_complex(complex_).boundaries, label, modulus)
+    boundaries = chain_complex(complex_).boundaries
+    return _profile_from_boundaries(boundaries, *parse_ring(ring))
 
 
 def relative_boundary_columns(pair: SimplicialPair, k):
@@ -176,9 +196,8 @@ def relative_boundary_columns(pair: SimplicialPair, k):
 
 def relative_homology(pair: SimplicialPair, ring="Z") -> HomologyProfile:
     """Homology of the pair (total, sub) via the quotient chain complex."""
-    label, modulus = parse_ring(ring)
     boundaries = chain_complex(pair.total, pair.sub).boundaries
-    return _profile_from_boundaries(boundaries, label, modulus)
+    return _profile_from_boundaries(boundaries, *parse_ring(ring))
 
 
 def reduced_profile(profile: HomologyProfile) -> HomologyProfile:

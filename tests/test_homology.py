@@ -21,6 +21,7 @@ from fibrestab.complexes import (
     barycentric_subdivision,
     boundary_columns,
     catalog,
+    chain_complex,
     cone,
     link,
     product,
@@ -41,6 +42,7 @@ from fibrestab.homology import (
     induced_map,
     is_connected,
     pi1_abelianized,
+    profile,
     reduced_profile,
     relative_boundary_columns,
     relative_homology,
@@ -392,6 +394,63 @@ def test_sparse_engine_with_clearing_matches_dense_oracles(base, extra, pick):
         [relative_boundary_columns(pair, k) for k in dims],
         lambda ring: relative_homology(pair, ring),
     )
+
+
+def check_puncture(cx, v):
+    """The profile of ``cx`` without vertex ``v``, read off the chain
+    complex of ``cx``, equals the homology of the built puncture over every
+    ring, with the same number of degrees; the relative profile of (cx,
+    cx - star v) keeps every degree of ``cx``, even an empty top one."""
+    cc = chain_complex(cx)
+    punctured = puncture(cx, v)
+    for ring in ("Z", "Q", "Z/2", "Z/3"):
+        assert profile(cc, ring, without=v) == homology(punctured, ring), (ring, v)
+    pair = SimplicialPair(cx, punctured)
+    assert len(relative_homology(pair).groups) == cx.dimension + 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    base=st.sampled_from(
+        [None, "rp2", "klein", "mobius", ("s1", "s1"), ("s1", "interval"), ("rp2", "s1")]
+    ),
+    extra=st.lists(st.lists(st.integers(0, 8), min_size=1, max_size=4), max_size=6),
+    pick=st.integers(0, 40),
+)
+def test_profile_without_a_vertex_matches_the_built_puncture(base, extra, pick):
+    """Random complexes, some glued onto a catalog space, and catalog
+    products (``extra`` is not glued onto a product)."""
+    if isinstance(base, tuple):
+        cx = product(catalog(base[0]), catalog(base[1]))
+    else:
+        facets = list(catalog(base).facets) if base else []
+        facets += [tuple(f) for f in extra]
+        if not facets:
+            return
+        cx = SimplicialComplex(9, tuple(facets))
+    verts = cx.vertices()
+    check_puncture(cx, verts[pick % len(verts)])
+
+
+@pytest.mark.parametrize(
+    "cx, v, groups",
+    [
+        # the apex of the cone over a triangle boundary: the dimension drops
+        (cone(catalog("s1")), 3, (grp(0), grp(0))),
+        # two triangles joined by the path 2-6-3; vertex 6 lies in no triangle
+        (
+            SimplicialComplex(7, ((0, 1, 2), (3, 4, 5), (2, 6), (3, 6))),
+            6,
+            (grp(0, 0), grp(), grp()),
+        ),
+        # the only vertex: the puncture is empty
+        (catalog("point"), 0, ()),
+    ],
+    ids=["cone-apex", "cut-vertex", "point"],
+)
+def test_profile_without_a_vertex_examples(cx, v, groups):
+    check_puncture(cx, v)
+    assert profile(chain_complex(cx), without=v).groups == groups
 
 
 # -- induced maps ----------------------------------------------------------------
