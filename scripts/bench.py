@@ -2,13 +2,12 @@
 """Benchmark two source trees against each other with ``perfbench/run.py``
 and write the result to ``BENCH_<label>.json``.
 
-    python scripts/bench.py OLD_TREE [NEW_TREE] --label LABEL [--pairs N]
-        [--seconds S] [--workload NAME ...]
+    python scripts/bench.py OLD_TREE [NEW_TREE] --label LABEL
 
 A tree is a checkout root (the directory holding ``perfbench/run.py`` and
 ``src/fibrestab``); NEW_TREE defaults to this checkout.  For every workload
-that ``BENCHMARK.json`` measures (or each ``--workload`` given), N pairs of
-untraced runs are made, one run per tree and pair, with seed = pair index;
+that ``BENCHMARK.json`` measures, 10 pairs of untraced runs of its
+``run_seconds`` are made, one run per tree and pair, with seed = pair index;
 the order inside a pair alternates (old first in even pairs, new first in
 odd ones) so that drift of the host's speed does not favour either tree.
 The runs go one at a time.
@@ -34,6 +33,7 @@ import numpy
 
 HERE = Path(__file__).resolve().parent.parent
 TREES = ("old", "new")
+PAIRS = 10
 
 
 def _run(tree, workload, seed, seconds):
@@ -80,14 +80,10 @@ def main():
     parser.add_argument("old", help="root of the reference tree")
     parser.add_argument("new", nargs="?", default=str(HERE), help="root of the tree under test")
     parser.add_argument("--label", required=True, help="the output is BENCH_<label>.json")
-    parser.add_argument("--pairs", type=int, default=10, help="pairs of runs per workload")
-    parser.add_argument("--seconds", type=float, help="--seconds of each run (default: BENCHMARK.json)")
-    parser.add_argument("--workload", action="append", help="a workload to run (default: every measured one)")
     args = parser.parse_args()
 
     spec = json.loads((HERE / "BENCHMARK.json").read_text(encoding="utf-8"))
-    seconds = args.seconds or spec["run_seconds"]
-    names = args.workload or [w["name"] for w in spec["workloads"]]
+    seconds = spec["run_seconds"]
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     trees = {"old": str(Path(args.old).resolve()), "new": str(Path(args.new).resolve())}
 
@@ -99,13 +95,13 @@ def main():
             "platform": platform.platform(),
             "loadavg_at_start": os.getloadavg(),
         },
-        "pairs": args.pairs,
+        "pairs": PAIRS,
         "seconds": seconds,
         "workloads": {},
     }
-    for name in names:
+    for name in (w["name"] for w in spec["workloads"]):
         runs = {"old": [], "new": []}
-        for seed in range(args.pairs):
+        for seed in range(PAIRS):
             for side in TREES if seed % 2 == 0 else reversed(TREES):
                 run = _run(trees[side], name, seed, seconds)
                 runs[side].append(run)

@@ -192,8 +192,23 @@ class ChainComplex:
         return len(self.cells(k - 1)), 0, {}
 
     def star(self, v):
-        """Per degree, the positions of the simplices containing vertex v."""
-        return tuple({j for j, s in enumerate(ss) if v in s} for ss in self.simplices)
+        """Per degree, the positions of the simplices containing vertex v;
+        UnknownVertex when v is not a vertex."""
+        p = self.index(0).get((v,))
+        if p is None:
+            raise UnknownVertex(f"vertex {v} not in complex")
+        return star_positions(self.boundaries, p)
+
+
+def star_positions(boundaries, p):
+    """Per degree, the positions of the simplices that contain the vertex at
+    position p, read off the boundary operators of a complex: a k-simplex,
+    k >= 1, contains that vertex exactly when one of its faces does."""
+    star = [(p,)]
+    for _, _, data in boundaries[1:]:
+        low = set(star[-1])
+        star.append(tuple(j for j, col in data.items() if not low.isdisjoint(col)))
+    return tuple(star)
 
 
 def chain_complex(total: SimplicialComplex, sub: SimplicialComplex | None = None):
@@ -208,6 +223,7 @@ def chain_complex(total: SimplicialComplex, sub: SimplicialComplex | None = None
         for mine, theirs in zip(faces, _faces(sub)):
             mine -= theirs
     simplices = tuple(sorted(f) for f in faces)
+    del faces  # sorted now; dropping the sets lowers the peak of the build
     indices = tuple({s: i for i, s in enumerate(ss)} for ss in simplices)
     boundaries = []
     for k, top in enumerate(simplices):

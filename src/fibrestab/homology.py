@@ -136,20 +136,17 @@ def _profile_from_boundaries(boundaries, label, modulus, drop=None):
     ``boundaries[k]`` is del_k, and an empty list gives the empty profile.
     Degree k has the column count of del_k as chain rank, cleared columns
     included (clearing, see ``invariant_factors_sparse``, leaves the factors
-    unchanged), less the columns ``drop[k]`` leaves out.  With ``drop``,
-    trailing degrees without chains are trimmed, as a puncture ends at its
-    own dimension; relative profiles keep their empty top degrees.  Over Z
-    the factors above 1 of del_(k+1) are the torsion of H_k; over Z/p a
-    factor counts towards the rank only when p does not divide it.
+    unchanged), less the columns ``drop[k]`` leaves out.  Over Z the factors
+    above 1 of del_(k+1) are the torsion of H_k; over Z/p a factor counts
+    towards the rank only when p does not divide it.
     """
     dim = len(boundaries) - 1
-    star = (frozenset(),) * (dim + 1) if drop is None else drop
-    while drop is not None and dim >= 0 and boundaries[dim][1] == len(star[dim]):
-        dim -= 1
+    drop = drop or ((),) * (dim + 1)
     factors, cleared = [()] * (dim + 2), set()
     for k in range(dim, 0, -1):  # top degree first, for clearing
+        cleared.update(drop[k])
         pivots = set()
-        factors[k] = invariant_factors_sparse(*boundaries[k], cleared | star[k], pivots)
+        factors[k] = invariant_factors_sparse(*boundaries[k], cleared, pivots)
         cleared = pivots
 
     def rank(fs):
@@ -158,24 +155,42 @@ def _profile_from_boundaries(boundaries, label, modulus, drop=None):
     groups = []
     for k in range(dim + 1):
         up = factors[k + 1]
-        free = boundaries[k][1] - len(star[k]) - rank(factors[k]) - rank(up)
+        free = boundaries[k][1] - len(drop[k]) - rank(factors[k]) - rank(up)
         torsion = [d for d in up if d > 1] if modulus is None else []
         groups.append(AbelianGroup.from_cyclic_orders([0] * free + torsion))
     return HomologyProfile(label, tuple(groups))
 
 
+def boundary_profile(boundaries, ring="Z", star=None) -> HomologyProfile:
+    """Homology profile of a complex from its boundary operators.
+
+    With ``star`` (per degree, the positions of the simplices containing a
+    vertex v, as ``complexes.star_positions`` gives them) it is the profile
+    of the complex punctured at v: those columns are left out, and the
+    profile ends at the puncture's own dimension, the top degree with a
+    column left.
+    """
+    label, modulus = parse_ring(ring)
+    if star is None:
+        return _profile_from_boundaries(boundaries, label, modulus)
+    d = len(boundaries) - 1
+    while d >= 0 and boundaries[d][1] == len(star[d]):
+        d -= 1
+    return _profile_from_boundaries(boundaries[: d + 1], label, modulus, star[: d + 1])
+
+
 def profile(cc: ChainComplex, ring="Z", without=None) -> HomologyProfile:
-    """Homology profile of a chain complex; with ``without`` = v, that of
-    the complex punctured at v (the columns of ``cc.star(v)`` left out).
-    A triangle boundary punctured at vertex 0 is the path 1-2:
+    """Homology profile of the chain complex of a complex; with ``without``
+    = v, that of the complex punctured at v (UnknownVertex when v is not a
+    vertex).  A triangle boundary punctured at vertex 0 is the path 1-2:
 
     >>> from .complexes import SimplicialComplex
     >>> circle = chain_complex(SimplicialComplex(3, ((0, 1), (0, 2), (1, 2))))
     >>> str(profile(circle)), str(profile(circle, without=0))
     ('[Z, Z]', '[Z, 0]')
     """
-    drop = None if without is None else cc.star(without)
-    return _profile_from_boundaries(cc.boundaries, *parse_ring(ring), drop)
+    star = None if without is None else cc.star(without)
+    return boundary_profile(cc.boundaries, ring, star)
 
 
 def homology(complex_: SimplicialComplex, ring="Z") -> HomologyProfile:
@@ -183,10 +198,9 @@ def homology(complex_: SimplicialComplex, ring="Z") -> HomologyProfile:
 
     The empty complex has an empty profile.  Degree-0 free rank always
     equals the number of connected components, which the tests assert
-    against a union-find count.  Only the boundaries stay alive in elimination.
+    against a union-find count.
     """
-    boundaries = chain_complex(complex_).boundaries
-    return _profile_from_boundaries(boundaries, *parse_ring(ring))
+    return boundary_profile(chain_complex(complex_).boundaries, ring)
 
 
 def relative_boundary_columns(pair: SimplicialPair, k):
@@ -196,8 +210,7 @@ def relative_boundary_columns(pair: SimplicialPair, k):
 
 def relative_homology(pair: SimplicialPair, ring="Z") -> HomologyProfile:
     """Homology of the pair (total, sub) via the quotient chain complex."""
-    boundaries = chain_complex(pair.total, pair.sub).boundaries
-    return _profile_from_boundaries(boundaries, *parse_ring(ring))
+    return boundary_profile(chain_complex(pair.total, pair.sub).boundaries, ring)
 
 
 def reduced_profile(profile: HomologyProfile) -> HomologyProfile:

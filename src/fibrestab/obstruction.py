@@ -13,7 +13,7 @@ point, and that has computable homological consequences:
   point removed, either by building the product and puncturing it (small
   cases) or by deriving the punctured homology from the factors via the
   tensor/Tor formula plus the standard puncture rules for manifolds.  A
-  built product is punctured by leaving stars out of its chain complex.
+  built product is punctured by leaving stars out of its boundary operators.
 * ``evaluate`` dispatches query records, including explicitly given
   (possibly twisted) total spaces, and returns a Verdict.
 
@@ -32,21 +32,21 @@ from .complexes import (
     chain_complex,
     product,
     puncture,  # unused here; perfbench/tracing.py wraps this name
+    star_positions,
 )
 from .exactalg import AbelianGroup
 from .homology import (
     HomologyProfile,
     NotConnected,
+    boundary_profile,
     homology,
     is_connected,
     parse_ring,
-    profile,
 )
 from .sequences import kunneth_formula
 
 OBSTRUCTED = "OBSTRUCTED"
 NOT_OBSTRUCTED = "NOT_OBSTRUCTED_BY_THESE_TESTS"
-_Z = AbelianGroup(free_rank=1)
 
 # Above this many product facets the product is never built; punctured
 # homology is derived from the factors instead.
@@ -109,7 +109,8 @@ def is_orientable_closed(complex_: SimplicialComplex, n: int | None = None) -> b
         )
     if not is_closed_pseudomanifold(complex_):
         raise NotClosed("orientability test needs a closed pseudomanifold")
-    return homology(complex_, "Z").group(complex_.dimension) == _Z
+    top = homology(complex_, "Z").group(complex_.dimension)
+    return top == AbelianGroup(free_rank=1)
 
 
 def is_integral_homology_sphere(complex_: SimplicialComplex) -> bool:
@@ -118,8 +119,9 @@ def is_integral_homology_sphere(complex_: SimplicialComplex) -> bool:
         raise NotClosed("homology-sphere test needs a closed pseudomanifold")
     n = complex_.dimension
     prof = homology(complex_, "Z")
+    point = AbelianGroup(free_rank=1)
     for k in range(n + 1):
-        want = _Z if k in (0, n) else AbelianGroup.trivial()
+        want = point if k in (0, n) else AbelianGroup.trivial()
         if prof.group(k) != want:
             return False
     return True
@@ -137,8 +139,11 @@ def non_contractibility_certificate(complex_: SimplicialComplex, ring="Z"):
         raise NotConnected("certificate search expects a connected complex")
     label, _ = parse_ring(ring)
     prof = homology(complex_, label)
-    k = _first_nonzero(prof, complex_.dimension)
-    return None if k is None else {"degree": k, "group": prof.group(k)}
+    for k in range(1, complex_.dimension + 1):
+        g = prof.group(k)
+        if not g.is_trivial:
+            return {"degree": k, "group": g}
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +166,7 @@ def punctured_profile_from_closed(
     """
     groups = [profile.group(k) for k in range(n + 1)]
     if orientable:
-        if groups[n] != _Z:
+        if groups[n] != AbelianGroup(free_rank=1):
             raise NotClosed(f"top group {groups[n]} has no fundamental class")
         groups[n] = AbelianGroup.trivial()
     else:
@@ -234,20 +239,26 @@ def _witness(mode, m, U, prof_u):
 
 
 def _puncture_census(e: SimplicialComplex, witness):
-    """Integral homology of ``e`` and of its punctures at the canonical
-    and sampled vertices, all read off one chain complex of ``e``.
+    """Integral homology of ``e`` punctured at the canonical and sampled
+    vertices, all read off the boundary operators of ``e``.
 
     The canonical vertex is the first boundary vertex, or the smallest
-    vertex of a closed ``e``.  Returns (profiles of ``e`` and at the
-    canonical vertex, sampled vertices, whether every sample has a witness).
+    vertex of a closed ``e``.  Returns (profile at the canonical vertex,
+    sampled vertices, whether every sampled puncture has a witness).  Only
+    the boundaries stay alive through the eliminations, which keeps the
+    peak memory of a batch at that of building each puncture.
     """
     bdry = boundary_vertices(e)
     canonical = bdry[0] if bdry else e.vertices()[0]
     samples = _sample_vertices(e, extra=(canonical,))
-    cc = chain_complex(e)
-    punctured = {v: profile(cc, "Z", without=v) for v in samples}
+    boundaries = chain_complex(e).boundaries
+    position = {v: p for p, v in enumerate(e.vertices())}
+    punctured = {
+        v: boundary_profile(boundaries, "Z", star_positions(boundaries, position[v]))
+        for v in samples
+    }
     all_bad = all(witness(pr) is not None for pr in punctured.values())
-    return profile(cc, "Z"), punctured[canonical], samples, all_bad
+    return punctured[canonical], samples, all_bad
 
 
 def _encode_group(g: AbelianGroup | None):
@@ -328,10 +339,12 @@ def trivial_bundle_one_point_obstruction(
     weak: stabilizing the whole fibre only forces E1 to retract onto U, so
     the obstruction is a mismatch H_k(E1) != H_k(U).
 
+    H(E) comes from the tensor/Tor formula on either route.
+
     route
         "direct"  build the product, puncture at sampled vertices;
-        "derived" combine the tensor/Tor formula for H(E) with the
-                  puncture rules (no product construction);
+        "derived" combine H(E) with the puncture rules (no product
+                  construction);
         "auto"    direct below a facet budget, derived above.
     """
     if mode not in ("strong", "weak"):
@@ -351,23 +364,27 @@ def trivial_bundle_one_point_obstruction(
     m = M.dimension + U.dimension
     prof_u = homology(U, "Z")
     if route == "auto":
-        direct = product_facet_count(M, U) <= _PRODUCT_FACET_BUDGET
-        route = "direct" if direct else "derived"
+        route = (
+            "direct"
+            if product_facet_count(M, U) <= _PRODUCT_FACET_BUDGET
+            else "derived"
+        )
 
     witness = _witness(mode, m, U, prof_u)
 
+    prof_m = homology(M, "Z")
+    groups = []
+    for k in range(m + 1):
+        tensor, tor = kunneth_formula(prof_m, prof_u, k)
+        groups.append(tensor.direct_sum(tor))
+    prof_e = HomologyProfile(ring="Z", groups=tuple(groups))
     if route == "direct":
-        prof_e, prof_e1, _, uniformly_bad = _puncture_census(product(M, U), witness)
+        prof_e1, _, uniformly_bad = _puncture_census(product(M, U), witness)
     else:
-        prof_m = homology(M, "Z")
-        groups = []
-        for k in range(m + 1):
-            tensor, tor = kunneth_formula(prof_m, prof_u, k)
-            groups.append(tensor.direct_sum(tor))
-        prof_e = HomologyProfile(ring="Z", groups=tuple(groups))
         if is_closed_pseudomanifold(U):
             # both closed, so each is orientable when its top group is Z
-            orientable = prof_m.group(M.dimension) == _Z == prof_u.group(U.dimension)
+            z = AbelianGroup(free_rank=1)
+            orientable = prof_m.group(M.dimension) == z == prof_u.group(U.dimension)
             prof_e1 = punctured_profile_from_closed(prof_e, m, orientable)
         else:
             # fibres with boundary: puncturing at a boundary point of E
@@ -378,8 +395,16 @@ def trivial_bundle_one_point_obstruction(
     k = witness(prof_e1)
 
     if k is not None and uniformly_bad is not False:
-        lemma = _punctured_tag(k, m) if mode == "strong" else "puncture_fibre_mismatch"
-        ev = _evidence(lemma, k, prof_e.group(k), prof_u.group(k), prof_e1.group(k))
+        lemma = (
+            _punctured_tag(k, m) if mode == "strong" else "puncture_fibre_mismatch"
+        )
+        ev = _evidence(
+            lemma,
+            k,
+            group_e=prof_e.group(k),
+            group_u=prof_u.group(k),
+            group_e1=prof_e1.group(k),
+        )
         narrative = (
             f"Removing the would-be equilibrium from the product total space "
             f"leaves H_{k} = {prof_e1.group(k)}"
@@ -394,7 +419,9 @@ def trivial_bundle_one_point_obstruction(
         )
         return Verdict(OBSTRUCTED, (ev,), narrative, True, mode, route)
 
-    lemma = "puncture_direct_endgame" if mode == "strong" else "puncture_fibre_mismatch"
+    lemma = (
+        "puncture_direct_endgame" if mode == "strong" else "puncture_fibre_mismatch"
+    )
     ev = _evidence(lemma, None, group_e=prof_e.group(0), group_u=prof_u.group(0))
     if k is not None:
         narrative = (
@@ -475,27 +502,38 @@ def _evaluate_explicit_total(query: StabilizationQuery) -> Verdict:
     _connected_or_raise(e, "total-space")
     if query.U is not None:
         _connected_or_raise(query.U, "fibre")
-    if query.mode == "weak" and query.U is None:
-        raise ValueError("weak queries need a fibre U to compare against")
     m = e.dimension
+    prof_e = homology(e, "Z")
     prof_u = homology(query.U, "Z") if query.U is not None else None
-    witness = _witness(query.mode, m, query.U, prof_u)
-    prof_e, prof_e1, samples, all_bad = _puncture_census(e, witness)
+    evidence = []
+    obstructed = False
 
     top_e = prof_e.group(m)
     top_u = prof_u.group(m) if prof_u is not None else None
     top_hits = not top_e.is_trivial and (top_u is None or top_e != top_u)
+    evidence.append(
+        _evidence("top_homology_vs_fibre", m, group_e=top_e, group_u=top_u)
+    )
+    obstructed = obstructed or top_hits
+
+    if query.mode == "weak" and prof_u is None:
+        raise ValueError("weak queries need a fibre U to compare against")
+    witness = _witness(query.mode, m, query.U, prof_u)
+    prof_e1, samples, all_bad = _puncture_census(e, witness)
     k = witness(prof_e1)
     puncture_hits = k is not None and all_bad
-    strong = query.mode == "strong"
-    lemma = _punctured_tag(k, m) if strong else "puncture_fibre_mismatch"
-    hit = (prof_e, prof_u, prof_e1) if k is not None else ()
-    evidence = (
-        _evidence("top_homology_vs_fibre", m, group_e=top_e, group_u=top_u),
-        _evidence(lemma, k, *(None if p is None else p.group(k) for p in hit)),
+    evidence.append(
+        _evidence(
+            _punctured_tag(k, m) if query.mode == "strong" else "puncture_fibre_mismatch",
+            k,
+            group_e=prof_e.group(k) if k is not None else None,
+            group_u=prof_u.group(k) if (prof_u is not None and k is not None) else None,
+            group_e1=prof_e1.group(k) if k is not None else None,
+        )
     )
+    obstructed = obstructed or puncture_hits
 
-    if top_hits or puncture_hits:
+    if obstructed:
         parts = []
         if top_hits:
             parts.append(
@@ -506,7 +544,7 @@ def _evaluate_explicit_total(query: StabilizationQuery) -> Verdict:
             parts.append(
                 f"puncturing at any sampled vertex {list(samples)} leaves "
                 f"H_{k} = {prof_e1.group(k)}"
-                + ("" if strong else f" != {prof_u.group(k)}")
+                + ("" if query.mode == "strong" else f" != {prof_u.group(k)}")
             )
         narrative = (
             "Obstructed: " + "; and ".join(parts) + ". These conditions are "
@@ -514,13 +552,17 @@ def _evaluate_explicit_total(query: StabilizationQuery) -> Verdict:
             "though no stabilizability claim is ever made in the other "
             "direction."
         )
-        return Verdict(OBSTRUCTED, evidence, narrative, True, query.mode, "direct")
+        return Verdict(
+            OBSTRUCTED, tuple(evidence), narrative, True, query.mode, "direct"
+        )
     narrative = (
         "Neither the top-homology comparison nor any sampled puncture of the "
         "given total space produced a witness. Necessity-only semantics: "
         "absence of obstruction, not a guarantee."
     )
-    return Verdict(NOT_OBSTRUCTED, evidence, narrative, True, query.mode, "direct")
+    return Verdict(
+        NOT_OBSTRUCTED, tuple(evidence), narrative, True, query.mode, "direct"
+    )
 
 
 def evaluate(query: StabilizationQuery) -> Verdict:

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 from fibrestab.complexes import (
     SimplicialComplex,
     SimplicialPair,
+    UnknownVertex,
     barycentric_subdivision,
     boundary_columns,
     catalog,
@@ -450,7 +451,14 @@ def test_profile_without_a_vertex_matches_the_built_puncture(base, extra, pick):
 )
 def test_profile_without_a_vertex_examples(cx, v, groups):
     check_puncture(cx, v)
-    assert profile(chain_complex(cx), without=v).groups == groups
+    cc = chain_complex(cx)
+    assert profile(cc, without=v).groups == groups
+    # a vertex outside the complex is refused, as puncture refuses it
+    for missing in (cx.vertex_count, -1):
+        with pytest.raises(UnknownVertex):
+            puncture(cx, missing)
+        with pytest.raises(UnknownVertex):
+            profile(cc, without=missing)
 
 
 # -- induced maps ----------------------------------------------------------------
