@@ -245,8 +245,8 @@ def _puncture_census(e: SimplicialComplex, witness):
     The canonical vertex is the first boundary vertex, or the smallest
     vertex of a closed ``e``.  Returns (profile at the canonical vertex,
     sampled vertices, whether every sampled puncture has a witness).  Only
-    the boundaries stay alive through the eliminations, which keeps the
-    peak memory of a batch at that of building each puncture.
+    the boundaries stay alive through the eliminations: keeping the chain
+    complex, or eliminating E itself here, raised a batch's peak memory.
     """
     bdry = boundary_vertices(e)
     canonical = bdry[0] if bdry else e.vertices()[0]
