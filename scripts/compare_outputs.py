@@ -16,7 +16,8 @@ exit-4 inputs included; the 77 obstruction fixture rows as one batch, the
 non-manifold query and single queries (a product, a derived product, a
 total space with boundary, a cone punctured at its apex, weak queries
 with and without a fibre); every shipped experiment; and small retraction
-specs that converge, that fail the precheck and that are malformed.  All
+specs that converge, that fail the precheck and that are malformed; and
+``integrate`` and ``basin`` specs the compatibility gate refuses.  All
 inputs are built from this checkout's data files into one temporary
 directory, which is removed at the end; nothing else is written.
 ``--skip-slow`` leaves out the shipped basin census (about 40 s per
@@ -207,6 +208,15 @@ def _commands(inputs, skip_slow):
     }.items():
         path = _write(inputs / f"{name.replace(' ', '_')}.json", {"system": "linear_patch", **spec})
         cmds.append((name, ["simulate", path], []))
+    for kind, extra in {
+        "integrate": {"start": ["A", 3.0, 0.1], "duration": 0.1},
+        "basin": {"grid": {"theta_cells": 4, "u_cells": 2}, "duration": 0.1},
+    }.items():
+        path = _write(
+            inputs / f"{kind}_incompatible.json",
+            {"kind": kind, "system": "mobius_incompatible", **extra},
+        )
+        cmds.append((f"{kind} gate refusal", ["simulate", path, "--csv-out", "out.csv"], ["out.csv"]))
     return cmds
 
 

@@ -21,19 +21,6 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .bundlesim import (
-    CONVERGED_FIBRE,
-    CONVERGED_POINT,
-    BasinReport,
-    CompatibilityNotVerified,
-    CompatibilityReport,
-    NonConvergentSample,
-    NonFiniteState,
-    RetractionExperiment,
-    TrajectoryRecord,
-    load_experiment,
-    run_experiment,
-)
 from .complexes import (
     NotASubcomplex,
     SimplicialComplex,
@@ -245,6 +232,8 @@ def cmd_obstruct(args):
 
 
 def _basin_csv_rows(report):
+    from .bundlesim import CONVERGED_FIBRE, CONVERGED_POINT
+
     yield ("j", "i", "angle", "fibre", "status")
     stuck = {(j, i): status for j, i, _a, _v, status in report.nonconvergent}
     settled = (
@@ -259,6 +248,19 @@ def _basin_csv_rows(report):
 
 
 def cmd_simulate(args):
+    # the simulator, and numpy with it, is loaded only for this subcommand
+    from .bundlesim import (
+        BasinReport,
+        CompatibilityNotVerified,
+        CompatibilityReport,
+        NonConvergentSample,
+        NonFiniteState,
+        RetractionExperiment,
+        TrajectoryRecord,
+        load_experiment,
+        run_experiment,
+    )
+
     try:
         config = load_experiment(_load_json_file(args.experiment))
     except ValueError as exc:
@@ -270,6 +272,9 @@ def cmd_simulate(args):
     except CompatibilityNotVerified as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INCOMPATIBLE
+    except (NonConvergentSample, NonFiniteState) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
     _emit(report.to_json_dict(), args.output)
     if args.csv_out:
         if isinstance(report, TrajectoryRecord):
@@ -378,12 +383,6 @@ def main(argv=None):
     except (NotACover, NotASubcomplex) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_COVER
-    except CompatibilityNotVerified as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INCOMPATIBLE
-    except (NonConvergentSample, NonFiniteState) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

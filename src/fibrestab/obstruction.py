@@ -316,9 +316,12 @@ def _connected_or_raise(cx, what):
 
 
 def _punctured_tag(k, m):
-    """Which justification covers degree k of the punctured space."""
+    """Which justification covers degree k of the punctured space; with no
+    witness degree (k None) the punctured complex itself decides."""
     return (
-        "puncture_midrange_transfer" if 1 <= k <= m - 2 else "puncture_direct_endgame"
+        "puncture_midrange_transfer"
+        if k is not None and 1 <= k <= m - 2
+        else "puncture_direct_endgame"
     )
 
 

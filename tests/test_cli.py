@@ -2,10 +2,16 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import fibrestab
+from fibrestab import bundlesim
 from fibrestab.bundlesim import CONVERGED_FIBRE, DIVERGED, TIMEOUT, load_experiment
 from fibrestab.cli import main, render_json
 from fibrestab.complexes import catalog
@@ -253,6 +259,17 @@ def test_obstruct_resolves_paths_relative_to_query_file(capsys, tmp_path):
     assert json.loads(out)["evidence"][0]["degree"] == 2
 
 
+def test_obstruct_strong_total_space_without_a_puncture_witness(capsys, tmp_path):
+    path = write_json(tmp_path / "q.json", {"E": "disk", "mode": "strong"})
+    code, out, err = run_cli(capsys, "obstruct", path)
+    assert code == 0 and err == ""
+    blob = json.loads(out)
+    assert blob["status"] == "NOT_OBSTRUCTED_BY_THESE_TESTS"
+    punc = blob["evidence"][1]
+    assert punc["lemma"] == "puncture_direct_endgame"
+    assert punc["degree"] is None
+
+
 def test_obstruct_requires_needed_fields(capsys, tmp_path):
     path = write_json(tmp_path / "q.json", {"mode": "strong", "one_point": True})
     code, _, err = run_cli(capsys, "obstruct", path)
@@ -299,6 +316,24 @@ def test_simulate_gate_refuses_incompatible_system(capsys, tmp_path):
     assert code == 5
     assert out == ""
     assert "residual" in err
+
+
+@pytest.mark.parametrize(
+    "error, expected",
+    [("NonConvergentSample", 1), ("NonFiniteState", 1), ("CompatibilityNotVerified", 5)],
+)
+def test_simulate_maps_simulator_errors_to_exit_codes(
+    capsys, tmp_path, monkeypatch, error, expected
+):
+    def fail(_config):
+        raise getattr(bundlesim, error)("simulated failure")
+
+    monkeypatch.setattr(bundlesim, "run_experiment", fail)
+    path = write_json(tmp_path / "e.json", {"kind": "integrate", "system": "linear_patch"})
+    code, out, err = run_cli(capsys, "simulate", path)
+    assert code == expected
+    assert out == ""
+    assert err == "error: simulated failure\n"
 
 
 def test_simulate_trajectory_csv(capsys, tmp_path):
@@ -414,3 +449,52 @@ def test_render_json_floats_use_17_digits():
     assert parsed["a"][0] == 1e-9 and parsed["a"][1] is True
     with pytest.raises(TypeError):
         render_json({"bad": object()})
+
+
+_FOOTPRINT = """
+import contextlib, io, json, sys
+import fibrestab
+from fibrestab import cli
+
+def loaded():
+    return sorted(m for m in ("numpy", "fibrestab.bundlesim") if m in sys.modules)
+
+def run(argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        return cli.main(argv)
+
+codes = [run(argv) for argv in json.loads(sys.argv[1])]
+before = loaded()
+fibrestab.bundlesim
+after = loaded()
+codes.append(run(json.loads(sys.argv[2])))
+print(json.dumps({"codes": codes, "before": before, "after": after}))
+"""
+
+
+def test_homology_commands_do_not_load_the_simulator(tmp_path):
+    """Only ``simulate`` imports bundlesim, and numpy with it."""
+    query = write_json(tmp_path / "q.json", {"M": "torus", "U": "s1"})
+    spec = write_json(
+        tmp_path / "e.json",
+        {"kind": "integrate", "system": "linear_patch",
+         "start": ["A", 1.0, 0.5], "duration": 0.2},
+    )
+    commands = [
+        ["homology", "torus"],
+        ["check", "kunneth", "s1", "s1"],
+        ["check", "pair-les", "disk", "s1"],
+        ["obstruct", query],
+        ["catalog"],
+    ]
+    src = str(Path(fibrestab.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", _FOOTPRINT, json.dumps(commands),
+         json.dumps(["simulate", spec])],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [0] * (len(commands) + 1)
+    assert result["before"] == []
+    assert result["after"] == ["fibrestab.bundlesim", "numpy"]

@@ -289,6 +289,32 @@ def test_evaluate_explicit_negative_control():
     assert v.status == NOT_OBSTRUCTED
 
 
+def _cone(complex_):
+    """The cone over a complex, its apex one vertex past the last."""
+    apex = complex_.vertex_count
+    return SimplicialComplex(apex + 1, tuple((*f, apex) for f in complex_.facets))
+
+
+@pytest.mark.parametrize("total", [cx("disk"), _cone(cx("torus"))], ids=["disk", "cone"])
+def test_strong_explicit_total_space_without_a_puncture_witness(total):
+    # the canonical puncture is contractible, so there is no witness degree
+    v = evaluate(StabilizationQuery(E=total))
+    assert v.status == NOT_OBSTRUCTED
+    top, punc = v.evidence
+    assert top["lemma"] == "top_homology_vs_fibre"
+    assert punc["lemma"] == "puncture_direct_endgame"
+    assert punc["degree"] is None and punc["group_E1"] is None
+
+
+def test_strong_explicit_top_homology_hit_without_a_puncture_witness():
+    # S^2 minus a point is a disk, but H_2(S^2) = Z still obstructs
+    v = evaluate(StabilizationQuery(E=cx("s2")))
+    assert v.status == OBSTRUCTED
+    top, punc = v.evidence
+    assert top["degree"] == 2 and top["group_E"]["rank"] == 1
+    assert punc["lemma"] == "puncture_direct_endgame" and punc["degree"] is None
+
+
 def _shifted(complex_):
     """The same complex with every vertex label raised by one, so 0 is unused."""
     return SimplicialComplex(
