@@ -15,7 +15,8 @@ Z/3; ``check kunneth``, ``check pair-les`` and ``check mv``, exit-2 and
 exit-4 inputs included; the 77 obstruction fixture rows as one batch, the
 non-manifold query and single queries (a product, a derived product, a
 total space with boundary, a cone punctured at its apex, weak queries
-with and without a fibre); every shipped experiment; and small retraction
+with and without a fibre, two total spaces whose dimension no bundle over
+the given base with the given fibre has); every shipped experiment; and small retraction
 specs that converge, that fail the precheck and that are malformed; and
 ``integrate`` and ``basin`` specs the compatibility gate refuses.  All
 inputs are built from this checkout's data files into one temporary
@@ -159,6 +160,8 @@ def _commands(inputs, skip_slow):
         "explicit cone apex": {"E": "cone_torus.json", "U": "torus", "mode": "weak"},
         "explicit weak": {"E": "torus", "U": "s1", "mode": "weak"},
         "explicit weak without U": {"E": "torus", "mode": "weak"},
+        "bundle dimension mismatch": {"M": "s2", "U": "interval", "E": "mobius"},
+        "bundle dimension mismatch weak": {"M": "torus", "U": "s1", "E": "klein", "mode": "weak"},
     }
     for name, query in single.items():
         path = _write(inputs / f"query_{name.replace(' ', '_')}.json", query)

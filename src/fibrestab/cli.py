@@ -9,9 +9,10 @@ simulate   run an experiment spec: compatibility, basin, retraction, integrate
 catalog    list the shipped triangulations
 
 Exit codes: 0 success; 1 a mathematical check failed; 2 malformed input;
-3 complex integrity violation; 4 cover/subcomplex violation; 5 chart
-compatibility failure.  Output is deterministic: a fixed invocation yields
-byte-identical bytes, with floats printed to 17 significant digits.
+3 bad complex, e.g. a non-manifold obstruct input or an E that no bundle
+over M with fibre U has; 4 bad cover or subcomplex; 5 chart
+incompatibility.  Reruns give the same bytes; floats at 17 significant
+digits.
 """
 
 import argparse
@@ -33,6 +34,8 @@ from .complexes import (
 )
 from .homology import NotConnected, homology, reduced_profile
 from .obstruction import (
+    NotABundle,
+    NotAManifold,
     NotAManifoldDim,
     NotClosed,
     StabilizationQuery,
@@ -377,7 +380,7 @@ def main(argv=None):
     except UnknownVertex as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_COMPLEX
-    except (NotClosed, NotAManifoldDim, NotConnected) as exc:
+    except (NotClosed, NotAManifold, NotAManifoldDim, NotABundle, NotConnected) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_COMPLEX
     except (NotACover, NotASubcomplex) as exc:

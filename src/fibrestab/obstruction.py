@@ -17,6 +17,20 @@ point, and that has computable homological consequences:
 * ``evaluate`` dispatches query records, including explicitly given
   (possibly twisted) total spaces, and returns a Verdict.
 
+The theory behind the one-point tests speaks about manifolds: a puncture's
+homology does not depend on which interior point is removed, and a
+boundary puncture changes nothing.  So every complex those tests read as a
+space -- M and U of a product, an explicit E and its U -- must first pass
+``require_homology_manifold``: pure of dimension n, no ridge in more than
+two facets, and the link of every vertex with the integral homology of
+S^(n-1), or of a point at a boundary vertex.  A product of homology
+manifolds is one, so a built product is not gated again.  The gate is
+memoised by complex value, so a batch gates each distinct input once; a
+rejected input raises NotAManifold.  An explicit E given with M and U must
+also pass the necessary conditions for a bundle (NotABundle).  Global
+queries stay ungated: a nonzero reduced homology group rules out
+contractibility for any complex.
+
 Verdicts are deliberately one-sided: homology can prove a space is NOT
 contractible, never that it is, so the negative status reads
 ``NOT_OBSTRUCTED_BY_THESE_TESTS`` rather than any claim of stabilizability.
@@ -26,6 +40,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .complexes import (
     SimplicialComplex,
@@ -61,6 +76,14 @@ class NotAManifoldDim(ValueError):
     """Complex dimension disagrees with the claimed manifold dimension."""
 
 
+class NotAManifold(ValueError):
+    """Complex is not a homology manifold, so the puncture rules fail."""
+
+
+class NotABundle(ValueError):
+    """Explicit total space that cannot be a bundle over M with fibre U."""
+
+
 # ---------------------------------------------------------------------------
 # basic recognizers
 # ---------------------------------------------------------------------------
@@ -92,6 +115,46 @@ def boundary_vertices(complex_: SimplicialComplex):
     """Vertices lying on a ridge contained in exactly one facet."""
     degree = _ridge_degrees(complex_)
     return tuple(sorted({v for ridge, d in degree.items() if d == 1 for v in ridge}))
+
+
+def require_homology_manifold(complex_: SimplicialComplex, what: str):
+    """Raise NotAManifold unless ``complex_`` is a homology manifold."""
+    defect = _manifold_defect(complex_)
+    if defect is not None:
+        raise NotAManifold(f"{what} complex is not a homology manifold: {defect}")
+
+
+@lru_cache(maxsize=None)
+def _manifold_defect(complex_: SimplicialComplex):
+    """Why ``complex_`` is not a homology n-manifold, or None when it is.
+
+    It must be pure of dimension n with no ridge in more than two facets,
+    and the link of every vertex, read off one vertex -> facets index, must
+    have the integral homology of S^(n-1), or of a point at a boundary
+    vertex (one on a ridge of a single facet).  Memoised by value.
+    """
+    n = complex_.dimension
+    if any(len(f) != n + 1 for f in complex_.facets):
+        return f"it is not pure of dimension {n}"
+    if n < 1:
+        return None
+    ridges = _ridge_degrees(complex_)
+    if any(d > 2 for d in ridges.values()):
+        return "a ridge lies in more than two facets"
+    on_boundary = {v for ridge, d in ridges.items() if d == 1 for v in ridge}
+    star = {}
+    for f in complex_.facets:
+        for v in f:
+            star.setdefault(v, []).append(tuple(u for u in f if u != v))
+    z, zero = AbelianGroup(free_rank=1), AbelianGroup.trivial()
+    ball = (z,) + (zero,) * (n - 1)
+    sphere = (z, *(zero,) * (n - 2), z) if n > 1 else (AbelianGroup(free_rank=2),)
+    for v in sorted(star):
+        lk = homology(SimplicialComplex(complex_.vertex_count, tuple(star[v])), "Z")
+        want, shape = (ball, "a point") if v in on_boundary else (sphere, f"S^{n - 1}")
+        if lk.groups != want:
+            return f"the link of vertex {v} has homology {lk}, not that of {shape}"
+    return None
 
 
 def is_orientable_closed(complex_: SimplicialComplex, n: int | None = None) -> bool:
@@ -200,8 +263,10 @@ def product_facet_count(x: SimplicialComplex, y: SimplicialComplex) -> int:
 def _sample_vertices(complex_: SimplicialComplex, extra=()):
     """Deterministic vertex sample: everything when small, else a seeded few.
 
-    Punctured homotopy type is vertex-independent on a manifold, so the
-    sample is a cross-check rather than a search.
+    On a homology manifold every interior puncture has one homology and
+    every boundary puncture has that of the space itself, so the sample is
+    reported rather than searched: the census eliminates one representative
+    of each kind it holds and lets it stand for the rest.
     """
     verts = sorted({v for f in complex_.facets for v in f})
     if len(verts) <= 12:
@@ -239,26 +304,37 @@ def _witness(mode, m, U, prof_u):
 
 
 def _puncture_census(e: SimplicialComplex, witness):
-    """Integral homology of ``e`` punctured at the canonical and sampled
-    vertices, all read off the boundary operators of ``e``.
+    """Integral homology of the homology manifold ``e`` punctured at the
+    canonical vertex, read off the boundary operators of ``e``.
 
     The canonical vertex is the first boundary vertex, or the smallest
-    vertex of a closed ``e``.  Returns (profile at the canonical vertex,
-    sampled vertices, whether every sampled puncture has a witness).  Only
-    the boundaries stay alive through the eliminations: keeping the chain
-    complex, or eliminating E itself here, raised a batch's peak memory.
+    vertex of a closed ``e``.  The sampled vertices are sorted into
+    boundary and interior ones; every puncture of one kind has the same
+    homology, so besides the canonical puncture only the smallest sampled
+    vertex of the other kind is eliminated, when the sample holds one and
+    the canonical puncture has a witness.  Returns (profile at the
+    canonical vertex, sampled vertices, whether every sampled puncture has
+    a witness).  Only the boundaries stay alive through the eliminations:
+    keeping the chain complex raised a batch's peak memory.
     """
     bdry = boundary_vertices(e)
     canonical = bdry[0] if bdry else e.vertices()[0]
     samples = _sample_vertices(e, extra=(canonical,))
+    on_boundary = set(bdry)
+    other = next(
+        (v for v in samples if (v in on_boundary) != (canonical in on_boundary)), None
+    )
     boundaries = chain_complex(e).boundaries
     position = {v: p for p, v in enumerate(e.vertices())}
-    punctured = {
-        v: boundary_profile(boundaries, "Z", star_positions(boundaries, position[v]))
-        for v in samples
-    }
-    all_bad = all(witness(pr) is not None for pr in punctured.values())
-    return punctured[canonical], samples, all_bad
+
+    def punctured(v):
+        return boundary_profile(boundaries, "Z", star_positions(boundaries, position[v]))
+
+    prof = punctured(canonical)
+    all_bad = witness(prof) is not None and (
+        other is None or witness(punctured(other)) is not None
+    )
+    return prof, samples, all_bad
 
 
 def _encode_group(g: AbelianGroup | None):
@@ -363,6 +439,8 @@ def trivial_bundle_one_point_obstruction(
             "fibre must be at least one-dimensional: a zero-dimensional "
             "controller adds no dynamics and falls outside these tests"
         )
+    require_homology_manifold(M, "base")
+    require_homology_manifold(U, "fibre")
 
     m = M.dimension + U.dimension
     prof_u = homology(U, "Z")
@@ -492,6 +570,29 @@ def _evaluate_global(query: StabilizationQuery) -> Verdict:
     return Verdict(NOT_OBSTRUCTED, (ev,), narrative, False, query.mode)
 
 
+def _require_bundle(e, base, fibre):
+    """Raise NotABundle unless E passes the necessary conditions for a
+    fibre bundle over M with fibre U: dimensions add, Euler characteristics
+    multiply, and E is closed exactly when M and U both are."""
+    spaces = (e, base, fibre)
+    dim = [x.dimension for x in spaces]
+    chi = [x.euler_characteristic() for x in spaces]
+    closed = [not boundary_vertices(x) for x in spaces]
+    if dim[0] != dim[1] + dim[2]:
+        problem = f"dim E = {dim[0]}, not dim M + dim U = {dim[1] + dim[2]}"
+    elif chi[0] != chi[1] * chi[2]:
+        problem = f"chi(E) = {chi[0]}, not chi(M) chi(U) = {chi[1] * chi[2]}"
+    elif closed[0] != (closed[1] and closed[2]):
+        problem = (
+            "E is closed, but M or U has boundary"
+            if closed[0]
+            else "E has boundary, but M and U are closed"
+        )
+    else:
+        return
+    raise NotABundle(f"E cannot be a bundle over M with fibre U: {problem}")
+
+
 def _evaluate_explicit_total(query: StabilizationQuery) -> Verdict:
     """Run the product-free tests on an explicitly given total space.
 
@@ -499,12 +600,20 @@ def _evaluate_explicit_total(query: StabilizationQuery) -> Verdict:
     comparison H_m(E) vs (0, H_m(U)) that detects closed orientable total
     spaces, and non-contractibility of the punctured total space at every
     sampled vertex.  Either failing obstructs; both passing is still only
-    an absence of obstruction.
+    an absence of obstruction.  E, and U when given, must be homology
+    manifolds; with M and U both given, E must also pass the necessary
+    bundle conditions of ``_require_bundle``.
     """
     e = query.E
     _connected_or_raise(e, "total-space")
+    require_homology_manifold(e, "total-space")
     if query.U is not None:
         _connected_or_raise(query.U, "fibre")
+        require_homology_manifold(query.U, "fibre")
+        if query.M is not None:
+            _connected_or_raise(query.M, "base")
+            require_homology_manifold(query.M, "base")
+            _require_bundle(e, query.M, query.U)
     m = e.dimension
     prof_e = homology(e, "Z")
     prof_u = homology(query.U, "Z") if query.U is not None else None

@@ -270,6 +270,37 @@ def test_obstruct_strong_total_space_without_a_puncture_witness(capsys, tmp_path
     assert punc["degree"] is None
 
 
+def test_obstruct_rejects_a_non_manifold_total_space(capsys, tmp_path):
+    # the suspension of two disjoint 8-gons: each apex link is two circles
+    facets = []
+    for base in (0, 8):
+        for k in range(8):
+            edge = [base + k, base + (k + 1) % 8]
+            facets += [edge + [16], edge + [17]]
+    write_json(tmp_path / "suspension.json", {"vertex_count": 18, "facets": facets})
+    path = write_json(
+        tmp_path / "q.json", {"E": "suspension.json", "mode": "strong", "one_point": True}
+    )
+    code, out, err = run_cli(capsys, "obstruct", path)
+    assert code == 3 and out == ""
+    assert "not a homology manifold" in err and "vertex 16" in err
+
+
+@pytest.mark.parametrize(
+    "query",
+    [
+        {"M": "s2", "U": "interval", "E": "mobius"},
+        {"M": "torus", "U": "s1", "E": "klein", "mode": "weak"},
+    ],
+    ids=["mobius-over-s2", "klein-over-torus-weak"],
+)
+def test_obstruct_rejects_a_total_space_no_bundle_has(capsys, tmp_path, query):
+    path = write_json(tmp_path / "q.json", query)
+    code, out, err = run_cli(capsys, "obstruct", path)
+    assert code == 3 and out == ""
+    assert "cannot be a bundle over M with fibre U" in err
+
+
 def test_obstruct_requires_needed_fields(capsys, tmp_path):
     path = write_json(tmp_path / "q.json", {"mode": "strong", "one_point": True})
     code, _, err = run_cli(capsys, "obstruct", path)

@@ -4,16 +4,32 @@ import json
 from importlib import resources
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fibrestab.complexes import SimplicialComplex, catalog_entry, product, puncture
+from fibrestab.complexes import (
+    SimplicialComplex,
+    barycentric_subdivision,
+    catalog_entry,
+    catalog_names,
+    chain_complex,
+    product,
+    puncture,
+)
 from fibrestab.exactalg import AbelianGroup
-from fibrestab.homology import HomologyProfile, NotConnected, homology
+from fibrestab.homology import HomologyProfile, NotConnected, homology, profile
 from fibrestab.obstruction import (
+    _PRODUCT_FACET_BUDGET,
     NOT_OBSTRUCTED,
     OBSTRUCTED,
+    NotABundle,
+    NotAManifold,
     NotAManifoldDim,
     NotClosed,
     StabilizationQuery,
+    _manifold_defect,
+    _puncture_census,
+    _witness,
     boundary_vertices,
     evaluate,
     is_closed_pseudomanifold,
@@ -22,6 +38,7 @@ from fibrestab.obstruction import (
     non_contractibility_certificate,
     product_facet_count,
     punctured_profile_from_closed,
+    require_homology_manifold,
     trivial_bundle_one_point_obstruction,
 )
 from fibrestab.sequences import kunneth_formula
@@ -109,6 +126,128 @@ def test_certificate_requires_connected():
     two_bits = SimplicialComplex(4, ((0, 1), (2, 3)))
     with pytest.raises(NotConnected):
         non_contractibility_certificate(two_bits)
+
+
+# ---------------------------------------------------------------------------
+# the homology-manifold gate
+# ---------------------------------------------------------------------------
+
+
+def suspension_of_two_octagons():
+    """Two disjoint 8-gons, both coned off at vertices 16 and 17: a closed
+    pseudomanifold whose two apex links are two circles each."""
+    facets = []
+    for base in (0, 8):
+        for k in range(8):
+            edge = (base + k, base + (k + 1) % 8)
+            facets += [edge + (16,), edge + (17,)]
+    return SimplicialComplex(18, tuple(facets))
+
+
+def test_gate_accepts_every_catalog_entry():
+    for name in catalog_names():
+        require_homology_manifold(cx(name), name)
+
+
+@pytest.mark.parametrize(
+    "complex_,defect",
+    [
+        (suspension_of_two_octagons(), r"link of vertex 16 has homology \[Z\^2, Z\^2\]"),
+        (SimplicialComplex(4, ((0, 1, 2), (2, 3))), "not pure"),
+        (SimplicialComplex(5, ((0, 1, 2), (0, 1, 3), (0, 1, 4))), "more than two facets"),
+        # two triangles sharing only vertex 0: its link is two disjoint edges
+        (SimplicialComplex(5, ((0, 1, 2), (0, 3, 4))), "link of vertex 0 .* a point"),
+    ],
+    ids=["suspension", "impure", "book", "bowtie"],
+)
+def test_gate_rejects_non_manifolds(complex_, defect):
+    with pytest.raises(NotAManifold, match=defect):
+        require_homology_manifold(complex_, "test")
+
+
+def test_gate_runs_once_per_distinct_complex():
+    # equal complexes built apart share one gate result
+    _manifold_defect.cache_clear()
+    for _ in range(2):
+        circle = SimplicialComplex(3, cx("s1").facets)
+        evaluate(StabilizationQuery(M=circle, U=circle))
+    info = _manifold_defect.cache_info()
+    assert (info.misses, info.hits) == (1, 3)
+
+
+def test_gate_rejects_the_suspension_as_an_explicit_total_space():
+    with pytest.raises(NotAManifold, match="total-space"):
+        evaluate(StabilizationQuery(E=suspension_of_two_octagons()))
+
+
+@pytest.mark.parametrize(
+    "M,U,E,problem",
+    [
+        ("s2", "interval", "mobius", "dim E = 2"),
+        ("s1", "s1", "s2", "chi"),
+        ("s1", "s1", "cylinder", "E has boundary"),
+        ("s1", "interval", "torus", "E is closed"),
+    ],
+)
+def test_explicit_total_space_must_pass_the_bundle_conditions(M, U, E, problem):
+    query = StabilizationQuery(M=cx(M), U=cx(U), E=cx(E))
+    with pytest.raises(NotABundle, match=problem):
+        evaluate(query)
+
+
+def _gated_complexes():
+    """Complexes the gate accepts: catalog entries, their products within
+    the facet budget, and barycentric subdivisions of the small entries
+    (these mix boundary and interior vertices)."""
+    names = st.sampled_from(catalog_names())
+    pairs = st.tuples(names, names).filter(
+        lambda p: product_facet_count(cx(p[0]), cx(p[1])) <= _PRODUCT_FACET_BUDGET
+    )
+    small = st.sampled_from([n for n in catalog_names() if len(cx(n).facets) <= 20])
+    return st.one_of(
+        names.map(cx),
+        pairs.map(lambda p: product(cx(p[0]), cx(p[1]))),
+        small.map(lambda n: barycentric_subdivision(cx(n))),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_gated_complexes(), st.sampled_from(catalog_names()))
+def test_puncture_census_rule_holds_at_every_vertex(e, fibre):
+    # the oracle eliminates every vertex's puncture; the census eliminates
+    # one representative per kind, so every interior puncture must share
+    # one profile and every boundary puncture must have the homology of e
+    require_homology_manifold(e, "drawn")
+    n = e.dimension
+    whole, cc = homology(e, "Z"), chain_complex(e)
+    on_boundary = set(boundary_vertices(e))
+    punctured = {v: profile(cc, "Z", without=v) for v in e.vertices()}
+
+    def groups(pr):
+        return [pr.group(k) for k in range(n + 1)]
+
+    interior = {tuple(groups(pr)) for v, pr in punctured.items() if v not in on_boundary}
+    assert len(interior) <= 1
+    for v in on_boundary:
+        assert groups(punctured[v]) == groups(whole), v
+    canonical = min(on_boundary, default=e.vertices()[0])
+    u = cx(fibre)
+    for witness in (
+        _witness("strong", n, None, None),
+        _witness("weak", n, u, homology(u, "Z")),
+    ):
+        prof, samples, all_bad = _puncture_census(e, witness)
+        assert groups(prof) == groups(punctured[canonical])
+        assert all_bad == all(witness(punctured[v]) is not None for v in samples)
+
+
+def test_weak_census_needs_the_interior_puncture_too():
+    # a boundary puncture of the subdivided disk is a disk, which differs
+    # from the circle fibre, but its interior puncture is a circle
+    e = barycentric_subdivision(cx("disk"))
+    v = evaluate(StabilizationQuery(U=cx("s1"), E=e, mode="weak"))
+    assert v.status == NOT_OBSTRUCTED
+    assert v.evidence[1]["degree"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +376,28 @@ def test_forced_routes_agree_on_verdict():
         assert direct.evidence[0]["group_E1"] == derived.evidence[0]["group_E1"]
 
 
+_ROUTE_PAIRS = [
+    (m, u)
+    for m in catalog_names()
+    for u in catalog_names()
+    if is_closed_pseudomanifold(cx(m))
+    and cx(u).dimension >= 1
+    and product_facet_count(cx(m), cx(u)) <= _PRODUCT_FACET_BUDGET
+]
+
+
+@pytest.mark.parametrize("mode", ["strong", "weak"])
+@pytest.mark.parametrize("mname,uname", _ROUTE_PAIRS)
+def test_routes_agree_on_every_pair_within_budget(mname, uname, mode):
+    direct, derived = (
+        trivial_bundle_one_point_obstruction(cx(mname), cx(uname), mode=mode, route=r)
+        for r in ("direct", "derived")
+    )
+    assert direct.status == derived.status
+    (a,), (b,) = direct.evidence, derived.evidence
+    assert (a["degree"], a["group_E1"]) == (b["degree"], b["group_E1"])
+
+
 # ---------------------------------------------------------------------------
 # evaluate dispatch
 # ---------------------------------------------------------------------------
@@ -295,9 +456,16 @@ def _cone(complex_):
     return SimplicialComplex(apex + 1, tuple((*f, apex) for f in complex_.facets))
 
 
-@pytest.mark.parametrize("total", [cx("disk"), _cone(cx("torus"))], ids=["disk", "cone"])
-def test_strong_explicit_total_space_without_a_puncture_witness(total):
-    # the canonical puncture is contractible, so there is no witness degree
+@pytest.mark.parametrize(
+    "total,manifold", [(cx("disk"), True), (_cone(cx("torus")), False)], ids=["disk", "cone"]
+)
+def test_strong_explicit_total_space_without_a_puncture_witness(total, manifold):
+    # the canonical puncture is contractible, so there is no witness degree;
+    # the cone's apex link is a torus, so the gate turns the cone away first
+    if not manifold:
+        with pytest.raises(NotAManifold, match="link of vertex 9"):
+            evaluate(StabilizationQuery(E=total))
+        return
     v = evaluate(StabilizationQuery(E=total))
     assert v.status == NOT_OBSTRUCTED
     top, punc = v.evidence
