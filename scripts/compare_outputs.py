@@ -14,11 +14,13 @@ The list covers ``homology`` on every catalog entry over Z, Q, Z/2 and
 Z/3; ``check kunneth``, ``check pair-les`` and ``check mv``, exit-2 and
 exit-4 inputs included; the 77 obstruction fixture rows as one batch, the
 non-manifold query and single queries (a product, a derived product, a
-total space with boundary, a cone punctured at its apex, weak queries
-with and without a fibre, two total spaces whose dimension no bundle over
-the given base with the given fibre has); every shipped experiment; and small retraction
-specs that converge, that fail the precheck and that are malformed; and
-``integrate`` and ``basin`` specs the compatibility gate refuses.  All
+point base, a total space with boundary, a cone punctured at its apex,
+weak queries with and without a fibre, a weak disk over the circle, two
+total spaces whose dimension no bundle over the given base with the given
+fibre has); every shipped experiment; small retraction specs that
+converge, that fail the precheck and that are malformed; malformed
+``basin`` and ``integrate`` specs; and ``integrate`` and ``basin`` specs
+the compatibility gate refuses.  All
 inputs are built from this checkout's data files into one temporary
 directory, which is removed at the end; nothing else is written.
 ``--skip-slow`` leaves out the shipped basin census (about 40 s per
@@ -155,11 +157,13 @@ def _commands(inputs, skip_slow):
     single = {
         "product": {"M": "torus", "U": "s1", "mode": "strong"},
         "derived": {"M": "t3", "U": "rp2", "mode": "weak"},
+        "point base": {"M": "point", "U": "s1"},
         "explicit boundary": {"E": "cylinder", "mode": "strong"},
         "explicit cone": {"E": "cone_torus.json", "U": "disk", "mode": "weak"},
         "explicit cone apex": {"E": "cone_torus.json", "U": "torus", "mode": "weak"},
         "explicit weak": {"E": "torus", "U": "s1", "mode": "weak"},
         "explicit weak without U": {"E": "torus", "mode": "weak"},
+        "explicit disk weak": {"E": "disk", "U": "s1", "mode": "weak"},
         "bundle dimension mismatch": {"M": "s2", "U": "interval", "E": "mobius"},
         "bundle dimension mismatch weak": {"M": "torus", "U": "s1", "E": "klein", "mode": "weak"},
     }
@@ -197,6 +201,7 @@ def _commands(inputs, skip_slow):
         "s_grid_collides": {"system": "damped_pendulum", "t_max": 5.0},
         "zero_step": {"system": "damped_pendulum", "step": 0},
         "no_samples": {"system": "damped_pendulum", "n_samples": 0},
+        "s_grid_number": {"system": "damped_pendulum", "s_grid": 5},
     }
     for name, spec in retractions.items():
         path = _write(inputs / f"retraction_{name}.json", {"kind": "retraction", **spec})
@@ -208,6 +213,9 @@ def _commands(inputs, skip_slow):
         "basin zero step": {"kind": "basin", "step": 0},
         "basin no cells": {"kind": "basin", "grid": {"theta_cells": 0}},
         "integrate zero stride": {"kind": "integrate", "record_stride": 0},
+        "basin grid list": {"kind": "basin", "grid": [1]},
+        "integrate start number": {"kind": "integrate", "start": 5},
+        "integrate start one item": {"kind": "integrate", "start": [1]},
     }.items():
         path = _write(inputs / f"{name.replace(' ', '_')}.json", {"system": "linear_patch", **spec})
         cmds.append((name, ["simulate", path], []))

@@ -39,6 +39,10 @@ TWO_PI = 2.0 * math.pi
 #: this distance of its excluded point
 SWITCH_MARGIN = 0.2
 
+#: the batch integrator checks for blow-up and switches charts every this
+#: many RK4 steps, and at the last step
+SWITCH_STRIDE = 10
+
 #: below this bound a fibre coordinate counts as finite-but-divergent;
 #: above it integration aborts outright
 _DIVERGENCE_BOUND = 1.0e6
@@ -473,7 +477,6 @@ def _batch_integrate(
     step,
     record_steps,
     dwell=1.0,
-    switch_stride=10,
     record_switch_events=False,
     plateau_tol=None,
     plateau_angle_only=False,
@@ -486,7 +489,7 @@ def _batch_integrate(
     batch element moves less than the tolerance over a checkpoint block
     (angle only if ``plateau_angle_only``); remaining snapshots repeat
     the frozen state.  The finite check and chart switching run every
-    ``switch_stride`` steps and at the last step.  ``watch`` is an
+    ``SWITCH_STRIDE`` steps and at the last step.  ``watch`` is an
     optional (steps, callback) pair: at each of those recorded steps the
     callback gets the step and copies of the rows recorded so far, the
     last as a pass ending there would leave it (checked and switched),
@@ -545,7 +548,7 @@ def _batch_integrate(
         x += np.multiply(d1, sixth, out=d1)
 
     for k in range(1, n_steps + 1):
-        checks = k % switch_stride == 0 or k == n_steps
+        checks = k % SWITCH_STRIDE == 0 or k == n_steps
         if frozen_at is None:
             fields(chart, theta, u, f1, g1)
             stage(half, f1, g1, f2, g2)
@@ -1497,15 +1500,6 @@ def _reject_overrides(name, overrides):
         raise ValueError(f"{name} does not take parameters {sorted(overrides)}")
 
 
-BUILTIN_SYSTEMS = (
-    "damped_pendulum",
-    "mobius_damped",
-    "mobius_incompatible",
-    "fibre_drift",
-    "linear_patch",
-)
-
-
 # ---------------------------------------------------------------------------
 # experiment specs
 # ---------------------------------------------------------------------------
@@ -1584,6 +1578,16 @@ class IntegrateExperiment:
     dwell: float = 1.0
 
 
+def _items(data, key, default, sizes=()):
+    """``data[key]``, or ``default``, as a tuple; ValueError unless it is a
+    list, with one of ``sizes`` items when those are given."""
+    value = data.get(key, default)
+    if not isinstance(value, (list, tuple)) or (sizes and len(value) not in sizes):
+        shape = f" of {' or '.join(map(str, sizes))} items" if sizes else ""
+        raise ValueError(f"{key!r} must be a list{shape}, got {value!r}")
+    return tuple(value)
+
+
 def load_experiment(data):
     """Parse an experiment spec dict (already JSON-decoded)."""
     if not isinstance(data, Mapping) or "kind" not in data:
@@ -1600,10 +1604,12 @@ def load_experiment(data):
         )
     if kind == "basin":
         grid_spec = data.get("grid", {})
+        if not isinstance(grid_spec, Mapping):
+            raise ValueError(f"'grid' must be an object, got {grid_spec!r}")
         grid = GridSpec(
             theta_cells=int(grid_spec.get("theta_cells", 100)),
             u_cells=int(grid_spec.get("u_cells", 50)),
-            u_range=tuple(grid_spec.get("u_range", (-2.0, 2.0))),
+            u_range=_items(grid_spec, "u_range", (-2.0, 2.0), (2,)),
         )
         return BasinExperiment(
             system_spec=system_spec,
@@ -1618,14 +1624,14 @@ def load_experiment(data):
             system_spec=system_spec,
             n_samples=int(data.get("n_samples", 200)),
             seed=int(data.get("seed", 0)),
-            s_grid=tuple(data.get("s_grid", DEFAULT_S_GRID)),
+            s_grid=_items(data, "s_grid", DEFAULT_S_GRID),
             t_max=float(data.get("t_max", 1e3)),
             step=float(data.get("step", 1e-3)),
             eps=float(data.get("eps", 1e-3)),
             target_kind=data.get("target_kind", "point"),
         )
     if kind == "integrate":
-        start = data.get("start", ["A", 0.5 * math.pi, 0.5])
+        start = _items(data, "start", ("A", 0.5 * math.pi, 0.5), (2, 3))
         if len(start) == 3:
             start = (start[0], float(start[1]), float(start[2]))
         else:

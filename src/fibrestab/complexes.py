@@ -7,8 +7,7 @@ by one pass over the facets (``_faces``).  ``chain_complex`` orders the
 k-simplices spanning C_k (for a pair, those outside the subcomplex)
 lexicographically, indexes them once, and builds every boundary operator
 from those indices, orienting faces by increasing vertex index with the
-usual (-1)^i signs, so del o del = 0 holds on the nose.  Leaving out
-``ChainComplex.star(v)`` gives the chain complex of ``puncture(x, v)``.
+usual (-1)^i signs, so del o del = 0 holds on the nose.
 
 The ``catalog`` returns version-pinned triangulations of the recurring
 spaces (circle, sphere, torus, Klein bottle, Mobius band, projective plane,
@@ -20,6 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cache
 from importlib import resources
 from itertools import combinations
 
@@ -190,25 +190,6 @@ class ChainComplex:
         if 0 <= k < len(self.boundaries):
             return self.boundaries[k]
         return len(self.cells(k - 1)), 0, {}
-
-    def star(self, v):
-        """Per degree, the positions of the simplices containing vertex v;
-        UnknownVertex when v is not a vertex."""
-        p = self.index(0).get((v,))
-        if p is None:
-            raise UnknownVertex(f"vertex {v} not in complex")
-        return star_positions(self.boundaries, p)
-
-
-def star_positions(boundaries, p):
-    """Per degree, the positions of the simplices that contain the vertex at
-    position p, read off the boundary operators of a complex: a k-simplex,
-    k >= 1, contains that vertex exactly when one of its faces does."""
-    star = [(p,)]
-    for _, _, data in boundaries[1:]:
-        low = set(star[-1])
-        star.append(tuple(j for j, col in data.items() if not low.isdisjoint(col)))
-    return tuple(star)
 
 
 def chain_complex(total: SimplicialComplex, sub: SimplicialComplex | None = None):
@@ -389,7 +370,9 @@ class CatalogEntry:
     description: str
 
 
-def _load_catalog():
+@cache
+def _catalog():
+    """Name -> CatalogEntry for the shipped data files, read once."""
     out = {}
     root = resources.files("fibrestab").joinpath("data/catalog")
     for entry in sorted(root.iterdir(), key=lambda p: p.name):
@@ -408,25 +391,16 @@ def _load_catalog():
     return out
 
 
-_CATALOG_CACHE = None
-
-
 def catalog_names():
-    global _CATALOG_CACHE
-    if _CATALOG_CACHE is None:
-        _CATALOG_CACHE = _load_catalog()
-    return sorted(_CATALOG_CACHE)
+    return sorted(_catalog())
 
 
 def catalog_entry(name) -> CatalogEntry:
-    global _CATALOG_CACHE
-    if _CATALOG_CACHE is None:
-        _CATALOG_CACHE = _load_catalog()
     try:
-        return _CATALOG_CACHE[name]
+        return _catalog()[name]
     except KeyError:
         raise UnknownName(
-            f"no catalog space {name!r}; available: {', '.join(sorted(_CATALOG_CACHE))}"
+            f"no catalog space {name!r}; available: {', '.join(catalog_names())}"
         ) from None
 
 

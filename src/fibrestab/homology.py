@@ -2,7 +2,8 @@
 
 Every computation here reads the boundary operators (and, for cycle bases
 and induced maps, the simplex indices) of one ``complexes.chain_complex``
-per space; ``profile(cc, ring, without=v)`` reads off it every puncture too.
+per space; ``boundary_profile`` takes any such list of operators, so a
+caller may hand it an edited one, as the puncture census does.
 
 One engine serves every coefficient ring: ``exactalg``'s sparse
 elimination reduces each boundary operator to its invariant factors, top
@@ -28,7 +29,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .complexes import (
-    ChainComplex,
     SimplicialComplex,
     SimplicialPair,
     boundary_columns,  # unused here; perfbench/tracing.py wraps this name
@@ -130,21 +130,30 @@ class HomologyProfile:
         return "[" + ", ".join(str(g) for g in self.groups) + "]"
 
 
-def _profile_from_boundaries(boundaries, label, modulus, drop=None):
-    """Assemble a profile from a list of (rows, cols, data) per degree.
+def boundary_profile(boundaries, ring="Z") -> HomologyProfile:
+    """Homology profile of a complex from its boundary operators.
 
-    ``boundaries[k]`` is del_k, and an empty list gives the empty profile.
-    Degree k has the column count of del_k as chain rank, cleared columns
-    included (clearing, see ``invariant_factors_sparse``, leaves the factors
-    unchanged), less the columns ``drop[k]`` leaves out.  Over Z the factors
-    above 1 of del_(k+1) are the torsion of H_k; over Z/p a factor counts
-    towards the rank only when p does not divide it.
+    ``boundaries[k]`` is del_k as (rows, cols, {col: {row: entry}}), and an
+    empty list gives the empty profile.  Degree k has the column count of
+    del_k as chain rank, cleared columns included (clearing, see
+    ``invariant_factors_sparse``, leaves the factors unchanged).  Over Z
+    the factors above 1 of del_(k+1) are the torsion of H_k; over Z/p a
+    factor counts towards the rank only when p does not divide it.  A
+    triangle boundary, and the path left when its first edge is dropped:
+
+    >>> from .complexes import SimplicialComplex
+    >>> circle = SimplicialComplex(3, ((0, 1), (0, 2), (1, 2)))
+    >>> del0, (rows, cols, data) = chain_complex(circle).boundaries
+    >>> str(boundary_profile([del0, (rows, cols, data)]))
+    '[Z, Z]'
+    >>> del data[0]
+    >>> str(boundary_profile([del0, (rows, cols - 1, data)]))
+    '[Z, 0]'
     """
+    label, modulus = parse_ring(ring)
     dim = len(boundaries) - 1
-    drop = drop or ((),) * (dim + 1)
     factors, cleared = [()] * (dim + 2), set()
     for k in range(dim, 0, -1):  # top degree first, for clearing
-        cleared.update(drop[k])
         pivots = set()
         factors[k] = invariant_factors_sparse(*boundaries[k], cleared, pivots)
         cleared = pivots
@@ -155,42 +164,10 @@ def _profile_from_boundaries(boundaries, label, modulus, drop=None):
     groups = []
     for k in range(dim + 1):
         up = factors[k + 1]
-        free = boundaries[k][1] - len(drop[k]) - rank(factors[k]) - rank(up)
+        free = boundaries[k][1] - rank(factors[k]) - rank(up)
         torsion = [d for d in up if d > 1] if modulus is None else []
         groups.append(AbelianGroup.from_cyclic_orders([0] * free + torsion))
     return HomologyProfile(label, tuple(groups))
-
-
-def boundary_profile(boundaries, ring="Z", star=None) -> HomologyProfile:
-    """Homology profile of a complex from its boundary operators.
-
-    With ``star`` (per degree, the positions of the simplices containing a
-    vertex v, as ``complexes.star_positions`` gives them) it is the profile
-    of the complex punctured at v: those columns are left out, and the
-    profile ends at the puncture's own dimension, the top degree with a
-    column left.
-    """
-    label, modulus = parse_ring(ring)
-    if star is None:
-        return _profile_from_boundaries(boundaries, label, modulus)
-    d = len(boundaries) - 1
-    while d >= 0 and boundaries[d][1] == len(star[d]):
-        d -= 1
-    return _profile_from_boundaries(boundaries[: d + 1], label, modulus, star[: d + 1])
-
-
-def profile(cc: ChainComplex, ring="Z", without=None) -> HomologyProfile:
-    """Homology profile of the chain complex of a complex; with ``without``
-    = v, that of the complex punctured at v (UnknownVertex when v is not a
-    vertex).  A triangle boundary punctured at vertex 0 is the path 1-2:
-
-    >>> from .complexes import SimplicialComplex
-    >>> circle = chain_complex(SimplicialComplex(3, ((0, 1), (0, 2), (1, 2))))
-    >>> str(profile(circle)), str(profile(circle, without=0))
-    ('[Z, Z]', '[Z, 0]')
-    """
-    star = None if without is None else cc.star(without)
-    return boundary_profile(cc.boundaries, ring, star)
 
 
 def homology(complex_: SimplicialComplex, ring="Z") -> HomologyProfile:

@@ -13,14 +13,18 @@ point, and that has computable homological consequences:
   point removed, either by building the product and puncturing it (small
   cases) or by deriving the punctured homology from the factors via the
   tensor/Tor formula plus the standard puncture rules for manifolds.  A
-  built product is punctured by leaving stars out of its boundary operators.
+  built product is punctured by dropping one top cell from its boundary
+  operators.
 * ``evaluate`` dispatches query records, including explicitly given
   (possibly twisted) total spaces, and returns a Verdict.
 
-The theory behind the one-point tests speaks about manifolds: a puncture's
-homology does not depend on which interior point is removed, and a
-boundary puncture changes nothing.  So every complex those tests read as a
-space -- M and U of a product, an explicit E and its U -- must first pass
+The theory behind the one-point tests speaks about manifolds: E minus a
+point has one homology per kind of point.  A boundary puncture changes
+nothing, so it has H(E); an interior puncture is E without one open top
+cell, onto which E minus a point inside that cell deformation-retracts.
+So the census computes each kind once, wherever the triangulation put its
+vertices, and every complex those tests read as a space -- M and U of a
+product, an explicit E and its U -- must first pass
 ``require_homology_manifold``: pure of dimension n, no ridge in more than
 two facets, and the link of every vertex with the integral homology of
 S^(n-1), or of a point at a boundary vertex.  A product of homology
@@ -47,7 +51,6 @@ from .complexes import (
     chain_complex,
     product,
     puncture,  # unused here; perfbench/tracing.py wraps this name
-    star_positions,
 )
 from .exactalg import AbelianGroup
 from .homology import (
@@ -260,22 +263,19 @@ def product_facet_count(x: SimplicialComplex, y: SimplicialComplex) -> int:
     return total
 
 
-def _sample_vertices(complex_: SimplicialComplex, extra=()):
-    """Deterministic vertex sample: everything when small, else a seeded few.
+def _sample_vertices(complex_: SimplicialComplex, boundary):
+    """Deterministic vertex sample: everything when small, else a seeded few
+    and the first ``boundary`` vertex, if any.
 
-    On a homology manifold every interior puncture has one homology and
-    every boundary puncture has that of the space itself, so the sample is
-    reported rather than searched: the census eliminates one representative
-    of each kind it holds and lets it stand for the rest.
+    The census computes one puncture per kind of point, not per vertex; the
+    sample only names, in an OBSTRUCTED narrative, vertices whose punctures
+    all leave the witness.
     """
-    verts = sorted({v for f in complex_.facets for v in f})
+    verts = complex_.vertices()
     if len(verts) <= 12:
-        chosen = set(verts)
-    else:
-        rng = random.Random(0)
-        chosen = {verts[0], *rng.sample(verts, 3)}
-    chosen.update(extra)
-    return tuple(sorted(chosen))
+        return tuple(verts)
+    rng = random.Random(0)
+    return tuple(sorted({verts[0], *rng.sample(verts, 3), *boundary[:1]}))
 
 
 def _first_nonzero(profile: HomologyProfile, top: int):
@@ -303,38 +303,29 @@ def _witness(mode, m, U, prof_u):
     return weak
 
 
-def _puncture_census(e: SimplicialComplex, witness):
-    """Integral homology of the homology manifold ``e`` punctured at the
-    canonical vertex, read off the boundary operators of ``e``.
+def _puncture_census(e: SimplicialComplex, has_boundary, prof_e, witness):
+    """Integral homology of the homology manifold ``e`` minus one point,
+    computed once per kind of point.
 
-    The canonical vertex is the first boundary vertex, or the smallest
-    vertex of a closed ``e``.  The sampled vertices are sorted into
-    boundary and interior ones; every puncture of one kind has the same
-    homology, so besides the canonical puncture only the smallest sampled
-    vertex of the other kind is eliminated, when the sample holds one and
-    the canonical puncture has a witness.  Returns (profile at the
-    canonical vertex, sampled vertices, whether every sampled puncture has
-    a witness).  Only the boundaries stay alive through the eliminations:
-    keeping the chain complex raised a batch's peak memory.
+    A boundary puncture deformation-retracts onto ``e``, so it has
+    ``prof_e``, the homology of ``e``.  An interior puncture retracts onto
+    ``e`` without the open top cell around the point, so its profile comes
+    from the boundary operators of ``e`` with the first top cell's column
+    dropped: the one elimination, made only when the answer needs it.
+    Returns the profile of the canonical kind (boundary when ``e`` has a
+    boundary, else interior) and whether every kind of point ``e`` has
+    leaves a witness.
     """
-    bdry = boundary_vertices(e)
-    canonical = bdry[0] if bdry else e.vertices()[0]
-    samples = _sample_vertices(e, extra=(canonical,))
-    on_boundary = set(bdry)
-    other = next(
-        (v for v in samples if (v in on_boundary) != (canonical in on_boundary)), None
-    )
-    boundaries = chain_complex(e).boundaries
-    position = {v: p for p, v in enumerate(e.vertices())}
 
-    def punctured(v):
-        return boundary_profile(boundaries, "Z", star_positions(boundaries, position[v]))
+    def interior():
+        *below, (rows, cols, top) = chain_complex(e).boundaries
+        top.pop(0, None)  # the first top cell; a vertex's column is empty
+        return boundary_profile((*below, (rows, cols - 1, top)), "Z")
 
-    prof = punctured(canonical)
-    all_bad = witness(prof) is not None and (
-        other is None or witness(punctured(other)) is not None
-    )
-    return prof, samples, all_bad
+    if not has_boundary:
+        prof = interior()
+        return prof, witness(prof) is not None
+    return prof_e, witness(prof_e) is not None and witness(interior()) is not None
 
 
 def _encode_group(g: AbelianGroup | None):
@@ -432,6 +423,12 @@ def trivial_bundle_one_point_obstruction(
         raise ValueError(f"unknown route {route!r}")
     _connected_or_raise(M, "base")
     _connected_or_raise(U, "fibre")
+    if M.dimension < 1:
+        raise ValueError(
+            f"base must be at least one-dimensional, not of dimension "
+            f"{M.dimension}: a point base leaves no state to stabilize and "
+            "falls outside these tests"
+        )
     if not is_closed_pseudomanifold(M):
         raise NotClosed("the one-point product test requires a closed base")
     if U.dimension < 1:
@@ -443,6 +440,7 @@ def trivial_bundle_one_point_obstruction(
     require_homology_manifold(U, "fibre")
 
     m = M.dimension + U.dimension
+    has_boundary = not is_closed_pseudomanifold(U)
     prof_u = homology(U, "Z")
     if route == "auto":
         route = (
@@ -460,17 +458,19 @@ def trivial_bundle_one_point_obstruction(
         groups.append(tensor.direct_sum(tor))
     prof_e = HomologyProfile(ring="Z", groups=tuple(groups))
     if route == "direct":
-        prof_e1, _, uniformly_bad = _puncture_census(product(M, U), witness)
+        prof_e1, uniformly_bad = _puncture_census(
+            product(M, U), has_boundary, prof_e, witness
+        )
     else:
-        if is_closed_pseudomanifold(U):
+        if has_boundary:
+            # fibres with boundary: puncturing at a boundary point of E
+            # deformation-retracts away and changes nothing
+            prof_e1 = prof_e
+        else:
             # both closed, so each is orientable when its top group is Z
             z = AbelianGroup(free_rank=1)
             orientable = prof_m.group(M.dimension) == z == prof_u.group(U.dimension)
             prof_e1 = punctured_profile_from_closed(prof_e, m, orientable)
-        else:
-            # fibres with boundary: puncturing at a boundary point of E
-            # deformation-retracts away and changes nothing
-            prof_e1 = prof_e
         uniformly_bad = None  # one derived profile stands for every point
 
     k = witness(prof_e1)
@@ -598,11 +598,11 @@ def _evaluate_explicit_total(query: StabilizationQuery) -> Verdict:
 
     Two independent necessary conditions are checked: the top-degree
     comparison H_m(E) vs (0, H_m(U)) that detects closed orientable total
-    spaces, and non-contractibility of the punctured total space at every
-    sampled vertex.  Either failing obstructs; both passing is still only
-    an absence of obstruction.  E, and U when given, must be homology
-    manifolds; with M and U both given, E must also pass the necessary
-    bundle conditions of ``_require_bundle``.
+    spaces, and a witness in the punctured total space at every kind of
+    point, interior and boundary.  Either failing obstructs; both passing
+    is still only an absence of obstruction.  E, and U when given, must be
+    homology manifolds; with M and U both given, E must also pass the
+    necessary bundle conditions of ``_require_bundle``.
     """
     e = query.E
     _connected_or_raise(e, "total-space")
@@ -631,7 +631,8 @@ def _evaluate_explicit_total(query: StabilizationQuery) -> Verdict:
     if query.mode == "weak" and prof_u is None:
         raise ValueError("weak queries need a fibre U to compare against")
     witness = _witness(query.mode, m, query.U, prof_u)
-    prof_e1, samples, all_bad = _puncture_census(e, witness)
+    bdry = boundary_vertices(e)
+    prof_e1, all_bad = _puncture_census(e, bool(bdry), prof_e, witness)
     k = witness(prof_e1)
     puncture_hits = k is not None and all_bad
     evidence.append(
@@ -653,6 +654,7 @@ def _evaluate_explicit_total(query: StabilizationQuery) -> Verdict:
                 + (f"differs from the fibre's {top_u}" if top_u is not None else "is nonzero")
             )
         if puncture_hits:
+            samples = _sample_vertices(e, bdry)
             parts.append(
                 f"puncturing at any sampled vertex {list(samples)} leaves "
                 f"H_{k} = {prof_e1.group(k)}"
@@ -667,10 +669,24 @@ def _evaluate_explicit_total(query: StabilizationQuery) -> Verdict:
         return Verdict(
             OBSTRUCTED, tuple(evidence), narrative, True, query.mode, "direct"
         )
+    if k is not None:
+        # a closed E has interior points only, so the witness is the
+        # boundary puncture's, and the interior puncture has none
+        found = (
+            f"Puncturing the given total space at a boundary point leaves "
+            f"H_{k} = {prof_e1.group(k)}"
+            + ("" if query.mode == "strong" else f" != {prof_u.group(k)}")
+            + ", but puncturing at an interior point produces no witness, "
+            "and neither does the top-homology comparison."
+        )
+    else:
+        found = (
+            "Neither the top-homology comparison nor any sampled puncture of "
+            "the given total space produced a witness."
+        )
     narrative = (
-        "Neither the top-homology comparison nor any sampled puncture of the "
-        "given total space produced a witness. Necessity-only semantics: "
-        "absence of obstruction, not a guarantee."
+        found + " Necessity-only semantics: absence of obstruction, not a "
+        "guarantee."
     )
     return Verdict(
         NOT_OBSTRUCTED, tuple(evidence), narrative, True, query.mode, "direct"

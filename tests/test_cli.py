@@ -301,6 +301,15 @@ def test_obstruct_rejects_a_total_space_no_bundle_has(capsys, tmp_path, query):
     assert "cannot be a bundle over M with fibre U" in err
 
 
+def test_obstruct_rejects_a_point_base(capsys, tmp_path):
+    # a point is closed, but of dimension 0, like a rejected point fibre
+    path = write_json(tmp_path / "q.json", {"M": "point", "U": "s1"})
+    code, out, err = run_cli(capsys, "obstruct", path)
+    assert code == 2 and out == ""
+    assert err.startswith("error: base must be at least one-dimensional")
+    assert "dimension 0" in err and err.count("\n") == 1
+
+
 def test_obstruct_requires_needed_fields(capsys, tmp_path):
     path = write_json(tmp_path / "q.json", {"mode": "strong", "one_point": True})
     code, _, err = run_cli(capsys, "obstruct", path)
@@ -431,6 +440,26 @@ def test_simulate_zero_step_is_exit_2(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert err == "error: step must be positive\n"
+
+
+@pytest.mark.parametrize(
+    "spec, problem",
+    [
+        ({"kind": "basin", "grid": [1]}, "'grid' must be an object, got [1]"),
+        ({"kind": "integrate", "start": 5}, "'start' must be a list of 2 or 3 items, got 5"),
+        ({"kind": "integrate", "start": [1]}, "'start' must be a list of 2 or 3 items"),
+        ({"kind": "integrate", "start": ["A", 1.0, 0.5, 2.0]}, "'start' must be a list"),
+        ({"kind": "retraction", "s_grid": 5}, "'s_grid' must be a list, got 5"),
+        ({"kind": "basin", "grid": {"u_range": [1.0]}}, "'u_range' must be a list of 2"),
+    ],
+    ids=["grid-list", "start-number", "start-short", "start-long", "s_grid-number", "u_range-short"],
+)
+def test_simulate_malformed_spec_is_exit_2(capsys, tmp_path, spec, problem):
+    path = write_json(tmp_path / "e.json", {"system": "damped_pendulum", **spec})
+    code, out, err = run_cli(capsys, "simulate", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {problem}") and err.count("\n") == 1
 
 
 def test_shipped_experiment_specs_parse():

@@ -133,7 +133,7 @@ def _edge_angles(system):
         -1e-17, -0.0, 0.0, 5e-324, -5e-324, TWO_PI, math.nextafter(TWO_PI, 0.0),
         # chart B close to its excluded point
         pi - 1e-12, -(pi - 1e-12), math.nextafter(pi, 0.0), -math.nextafter(pi, 0.0),
-        # a few steps past a chart edge, as switch_stride allows
+        # a few steps past a chart edge, as SWITCH_STRIDE allows
         -0.03, TWO_PI + 0.03, pi + 0.03, -(pi + 0.03), TWO_PI + 1e-12,
         math.nan, math.inf, -math.inf,
     ]

@@ -22,7 +22,6 @@ from fibrestab.complexes import (
     barycentric_subdivision,
     boundary_columns,
     catalog,
-    chain_complex,
     cone,
     link,
     product,
@@ -43,7 +42,6 @@ from fibrestab.homology import (
     induced_map,
     is_connected,
     pi1_abelianized,
-    profile,
     reduced_profile,
     relative_boundary_columns,
     relative_homology,
@@ -397,42 +395,6 @@ def test_sparse_engine_with_clearing_matches_dense_oracles(base, extra, pick):
     )
 
 
-def check_puncture(cx, v):
-    """The profile of ``cx`` without vertex ``v``, read off the chain
-    complex of ``cx``, equals the homology of the built puncture over every
-    ring, with the same number of degrees; the relative profile of (cx,
-    cx - star v) keeps every degree of ``cx``, even an empty top one."""
-    cc = chain_complex(cx)
-    punctured = puncture(cx, v)
-    for ring in ("Z", "Q", "Z/2", "Z/3"):
-        assert profile(cc, ring, without=v) == homology(punctured, ring), (ring, v)
-    pair = SimplicialPair(cx, punctured)
-    assert len(relative_homology(pair).groups) == cx.dimension + 1
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    base=st.sampled_from(
-        [None, "rp2", "klein", "mobius", ("s1", "s1"), ("s1", "interval"), ("rp2", "s1")]
-    ),
-    extra=st.lists(st.lists(st.integers(0, 8), min_size=1, max_size=4), max_size=6),
-    pick=st.integers(0, 40),
-)
-def test_profile_without_a_vertex_matches_the_built_puncture(base, extra, pick):
-    """Random complexes, some glued onto a catalog space, and catalog
-    products (``extra`` is not glued onto a product)."""
-    if isinstance(base, tuple):
-        cx = product(catalog(base[0]), catalog(base[1]))
-    else:
-        facets = list(catalog(base).facets) if base else []
-        facets += [tuple(f) for f in extra]
-        if not facets:
-            return
-        cx = SimplicialComplex(9, tuple(facets))
-    verts = cx.vertices()
-    check_puncture(cx, verts[pick % len(verts)])
-
-
 @pytest.mark.parametrize(
     "cx, v, groups",
     [
@@ -450,15 +412,16 @@ def test_profile_without_a_vertex_matches_the_built_puncture(base, extra, pick):
     ids=["cone-apex", "cut-vertex", "point"],
 )
 def test_profile_without_a_vertex_examples(cx, v, groups):
-    check_puncture(cx, v)
-    cc = chain_complex(cx)
-    assert profile(cc, without=v).groups == groups
-    # a vertex outside the complex is refused, as puncture refuses it
+    """The homology of ``cx`` without vertex ``v``; the relative profile of
+    (cx, cx - star v) keeps every degree of ``cx``, even an empty top one."""
+    punctured = puncture(cx, v)
+    assert homology(punctured).groups == groups
+    pair = SimplicialPair(cx, punctured)
+    assert len(relative_homology(pair).groups) == cx.dimension + 1
+    # a vertex outside the complex is refused
     for missing in (cx.vertex_count, -1):
         with pytest.raises(UnknownVertex):
             puncture(cx, missing)
-        with pytest.raises(UnknownVertex):
-            profile(cc, without=missing)
 
 
 # -- induced maps ----------------------------------------------------------------
