@@ -13,11 +13,11 @@ PYTHONPATH, from a working directory of its own, so ``--output`` and
 The list covers ``homology`` on every catalog entry over Z, Q, Z/2 and
 Z/3; ``check kunneth``, ``check pair-les`` and ``check mv``, exit-2 and
 exit-4 inputs included; the 77 obstruction fixture rows as one batch, the
-non-manifold query and single queries (a product, a derived product, a
-point base, a total space with boundary, a cone punctured at its apex,
-weak queries with and without a fibre, a weak disk over the circle, two
-total spaces whose dimension no bundle over the given base with the given
-fibre has); every shipped experiment; small retraction specs that
+non-manifold query and single queries (a product, a derived product,
+two products whose fibre has a boundary, a point base, a total space
+with boundary, a cone punctured at its apex, weak queries with and
+without a fibre, a weak disk over the circle, two total spaces whose
+dimension no bundle over the given base with the given fibre has); every shipped experiment; small retraction specs that
 converge, that fail the precheck and that are malformed; malformed
 ``basin`` and ``integrate`` specs; and ``integrate`` and ``basin`` specs
 the compatibility gate refuses.  All
@@ -157,6 +157,8 @@ def _commands(inputs, skip_slow):
     single = {
         "product": {"M": "torus", "U": "s1", "mode": "strong"},
         "derived": {"M": "t3", "U": "rp2", "mode": "weak"},
+        "fibre with boundary": {"M": "torus", "U": "cylinder"},
+        "fibre with boundary weak": {"M": "rp2", "U": "mobius", "mode": "weak"},
         "point base": {"M": "point", "U": "s1"},
         "explicit boundary": {"E": "cylinder", "mode": "strong"},
         "explicit cone": {"E": "cone_torus.json", "U": "disk", "mode": "weak"},

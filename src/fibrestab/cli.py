@@ -216,7 +216,6 @@ def _parse_query(data, base):
         E=None if e_spec in (None, "trivial") else resolve(e_spec),
         mode=data.get("mode", "strong"),
         one_point=bool(data.get("one_point", True)),
-        route=data.get("route", "auto"),
         ring=data.get("ring", "Z"),
     )
 

@@ -10,11 +10,12 @@ point, and that has computable homological consequences:
 * ``non_contractibility_certificate`` finds the first nonvanishing reduced
   homology group of the state space, which rules out contractibility.
 * ``trivial_bundle_one_point_obstruction`` examines ``E = M x U`` with one
-  point removed, either by building the product and puncturing it (small
-  cases) or by deriving the punctured homology from the factors via the
-  tensor/Tor formula plus the standard puncture rules for manifolds.  A
-  built product is punctured by dropping one top cell from its boundary
-  operators.
+  point removed, puncturing only where that can change the verdict.  H(E)
+  comes from the factors via the tensor/Tor formula.  A fibre with
+  boundary reads its answer off H(E).  A closed fibre's product is built
+  and punctured by dropping one top cell from its boundary operators
+  (small cases), or H(E) is punctured by the standard rule for closed
+  manifolds (large ones).
 * ``evaluate`` dispatches query records, including explicitly given
   (possibly twisted) total spaces, and returns a Verdict.
 
@@ -42,7 +43,6 @@ contractible, never that it is, so the negative status reads
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -66,8 +66,9 @@ from .sequences import kunneth_formula
 OBSTRUCTED = "OBSTRUCTED"
 NOT_OBSTRUCTED = "NOT_OBSTRUCTED_BY_THESE_TESTS"
 
-# Above this many product facets the product is never built; punctured
-# homology is derived from the factors instead.
+# Above this many product facets a closed fibre's product is never built;
+# its punctured homology is derived from the factors instead.  A fibre with
+# boundary never needs the product.
 _PRODUCT_FACET_BUDGET = 700
 
 
@@ -263,21 +264,6 @@ def product_facet_count(x: SimplicialComplex, y: SimplicialComplex) -> int:
     return total
 
 
-def _sample_vertices(complex_: SimplicialComplex, boundary):
-    """Deterministic vertex sample: everything when small, else a seeded few
-    and the first ``boundary`` vertex, if any.
-
-    The census computes one puncture per kind of point, not per vertex; the
-    sample only names, in an OBSTRUCTED narrative, vertices whose punctures
-    all leave the witness.
-    """
-    verts = complex_.vertices()
-    if len(verts) <= 12:
-        return tuple(verts)
-    rng = random.Random(0)
-    return tuple(sorted({verts[0], *rng.sample(verts, 3), *boundary[:1]}))
-
-
 def _first_nonzero(profile: HomologyProfile, top: int):
     for k in range(1, top + 1):
         if not profile.group(k).is_trivial:
@@ -303,29 +289,33 @@ def _witness(mode, m, U, prof_u):
     return weak
 
 
+def _interior_profile(e: SimplicialComplex) -> HomologyProfile:
+    """Integral homology of the homology manifold ``e`` minus an interior
+    point: it retracts onto ``e`` without the open top cell around the
+    point, so the profile comes from the boundary operators of ``e`` with
+    the first top cell's column dropped."""
+    *below, (rows, cols, top) = chain_complex(e).boundaries
+    top.pop(0, None)  # the first top cell; a vertex's column is empty
+    return boundary_profile((*below, (rows, cols - 1, top)), "Z")
+
+
 def _puncture_census(e: SimplicialComplex, has_boundary, prof_e, witness):
-    """Integral homology of the homology manifold ``e`` minus one point,
-    computed once per kind of point.
+    """Integral homology of an explicit total space ``e``, a homology
+    manifold, minus one point, computed once per kind of point.
 
     A boundary puncture deformation-retracts onto ``e``, so it has
-    ``prof_e``, the homology of ``e``.  An interior puncture retracts onto
-    ``e`` without the open top cell around the point, so its profile comes
-    from the boundary operators of ``e`` with the first top cell's column
-    dropped: the one elimination, made only when the answer needs it.
-    Returns the profile of the canonical kind (boundary when ``e`` has a
-    boundary, else interior) and whether every kind of point ``e`` has
-    leaves a witness.
+    ``prof_e``, the homology of ``e``.  An interior puncture has
+    ``_interior_profile(e)``: the one elimination, made only when the
+    answer needs it.  Returns the profile of the canonical kind (boundary
+    when ``e`` has a boundary, else interior) and whether every kind of
+    point ``e`` has leaves a witness.  A product never needs the census:
+    see ``trivial_bundle_one_point_obstruction``.
     """
-
-    def interior():
-        *below, (rows, cols, top) = chain_complex(e).boundaries
-        top.pop(0, None)  # the first top cell; a vertex's column is empty
-        return boundary_profile((*below, (rows, cols - 1, top)), "Z")
-
     if not has_boundary:
-        prof = interior()
+        prof = _interior_profile(e)
         return prof, witness(prof) is not None
-    return prof_e, witness(prof_e) is not None and witness(interior()) is not None
+    all_bad = witness(prof_e) is not None and witness(_interior_profile(e)) is not None
+    return prof_e, all_bad
 
 
 def _encode_group(g: AbelianGroup | None):
@@ -396,7 +386,6 @@ def trivial_bundle_one_point_obstruction(
     M: SimplicialComplex,
     U: SimplicialComplex,
     mode: str = "strong",
-    route: str = "auto",
 ) -> Verdict:
     """Test whether E = M x U minus one point carries forbidden homology.
 
@@ -409,18 +398,17 @@ def trivial_bundle_one_point_obstruction(
     weak: stabilizing the whole fibre only forces E1 to retract onto U, so
     the obstruction is a mismatch H_k(E1) != H_k(U).
 
-    H(E) comes from the tensor/Tor formula on either route.
+    H(E) comes from the tensor/Tor formula.  The input alone decides how
+    the punctured profile is found, and ``Verdict.route`` names it:
 
-    route
-        "direct"  build the product, puncture at sampled vertices;
-        "derived" combine H(E) with the puncture rules (no product
-                  construction);
-        "auto"    direct below a facet budget, derived above.
+    "derived"  from H(E) with no product built: H(E) itself when U has a
+               boundary, the closed-manifold puncture rule when M and U
+               are closed and the product exceeds the facet budget;
+    "direct"   M and U closed within the budget: the product is built and
+               its first top cell dropped.
     """
     if mode not in ("strong", "weak"):
         raise ValueError(f"unknown mode {mode!r}")
-    if route not in ("auto", "direct", "derived"):
-        raise ValueError(f"unknown route {route!r}")
     _connected_or_raise(M, "base")
     _connected_or_raise(U, "fibre")
     if M.dimension < 1:
@@ -442,13 +430,6 @@ def trivial_bundle_one_point_obstruction(
     m = M.dimension + U.dimension
     has_boundary = not is_closed_pseudomanifold(U)
     prof_u = homology(U, "Z")
-    if route == "auto":
-        route = (
-            "direct"
-            if product_facet_count(M, U) <= _PRODUCT_FACET_BUDGET
-            else "derived"
-        )
-
     witness = _witness(mode, m, U, prof_u)
 
     prof_m = homology(M, "Z")
@@ -457,25 +438,26 @@ def trivial_bundle_one_point_obstruction(
         tensor, tor = kunneth_formula(prof_m, prof_u, k)
         groups.append(tensor.direct_sum(tor))
     prof_e = HomologyProfile(ring="Z", groups=tuple(groups))
-    if route == "direct":
-        prof_e1, uniformly_bad = _puncture_census(
-            product(M, U), has_boundary, prof_e, witness
-        )
+    if has_boundary:
+        # A boundary puncture has H(E), and it decides for every point.  U
+        # has a boundary, so H_u(U) = 0 for u = dim U, and the top group
+        # H_m(E) = H_(m-u)(M) (x) H_u(U) vanishes.  An interior puncture
+        # matches E below degree m - 1 and adds a Z in degree m - 1, where
+        # H(U) vanishes (u < m), so in both modes every witness of H(E) is
+        # also a witness of the interior puncture.
+        prof_e1, route = prof_e, "derived"
+    elif product_facet_count(M, U) <= _PRODUCT_FACET_BUDGET:
+        prof_e1, route = _interior_profile(product(M, U)), "direct"
     else:
-        if has_boundary:
-            # fibres with boundary: puncturing at a boundary point of E
-            # deformation-retracts away and changes nothing
-            prof_e1 = prof_e
-        else:
-            # both closed, so each is orientable when its top group is Z
-            z = AbelianGroup(free_rank=1)
-            orientable = prof_m.group(M.dimension) == z == prof_u.group(U.dimension)
-            prof_e1 = punctured_profile_from_closed(prof_e, m, orientable)
-        uniformly_bad = None  # one derived profile stands for every point
+        # both closed, so each is orientable when its top group is Z
+        z = AbelianGroup(free_rank=1)
+        orientable = prof_m.group(M.dimension) == z == prof_u.group(U.dimension)
+        prof_e1 = punctured_profile_from_closed(prof_e, m, orientable)
+        route = "derived"
 
     k = witness(prof_e1)
 
-    if k is not None and uniformly_bad is not False:
+    if k is not None:
         lemma = (
             _punctured_tag(k, m) if mode == "strong" else "puncture_fibre_mismatch"
         )
@@ -504,23 +486,17 @@ def trivial_bundle_one_point_obstruction(
         "puncture_direct_endgame" if mode == "strong" else "puncture_fibre_mismatch"
     )
     ev = _evidence(lemma, None, group_e=prof_e.group(0), group_u=prof_u.group(0))
-    if k is not None:
-        narrative = (
-            "Some sampled puncture vertices leave no homological witness, so "
-            "an equilibrium there is not excluded by these tests."
+    narrative = (
+        "The punctured product total space "
+        + (
+            "has vanishing reduced homology"
+            if mode == "strong"
+            else "matches the fibre homology degreewise"
         )
-    else:
-        narrative = (
-            "The punctured product total space "
-            + (
-                "has vanishing reduced homology"
-                if mode == "strong"
-                else "matches the fibre homology degreewise"
-            )
-            + f" (route: {route}). The tests here are necessary conditions "
-            "only, so this is an absence of obstruction, not a "
-            "stabilizability claim."
-        )
+        + f" (route: {route}). The tests here are necessary conditions "
+        "only, so this is an absence of obstruction, not a "
+        "stabilizability claim."
+    )
     return Verdict(NOT_OBSTRUCTED, (ev,), narrative, True, mode, route)
 
 
@@ -545,7 +521,6 @@ class StabilizationQuery:
     E: SimplicialComplex | None = None
     mode: str = "strong"
     one_point: bool = True
-    route: str = "auto"
     ring: str = "Z"
 
 
@@ -654,10 +629,10 @@ def _evaluate_explicit_total(query: StabilizationQuery) -> Verdict:
                 + (f"differs from the fibre's {top_u}" if top_u is not None else "is nonzero")
             )
         if puncture_hits:
-            samples = _sample_vertices(e, bdry)
             parts.append(
-                f"puncturing at any sampled vertex {list(samples)} leaves "
-                f"H_{k} = {prof_e1.group(k)}"
+                "puncturing at any "
+                + ("interior or boundary point" if bdry else "point")
+                + f" leaves H_{k} = {prof_e1.group(k)}"
                 + ("" if query.mode == "strong" else f" != {prof_u.group(k)}")
             )
         narrative = (
@@ -681,8 +656,9 @@ def _evaluate_explicit_total(query: StabilizationQuery) -> Verdict:
         )
     else:
         found = (
-            "Neither the top-homology comparison nor any sampled puncture of "
-            "the given total space produced a witness."
+            "Neither the top-homology comparison nor a puncture of the given "
+            "total space at " + ("a boundary point" if bdry else "any point")
+            + " produced a witness."
         )
     narrative = (
         found + " Necessity-only semantics: absence of obstruction, not a "
@@ -703,6 +679,4 @@ def evaluate(query: StabilizationQuery) -> Verdict:
         return _evaluate_explicit_total(query)
     if query.M is None or query.U is None:
         raise ValueError("one_point queries need M and U (or an explicit E)")
-    return trivial_bundle_one_point_obstruction(
-        query.M, query.U, mode=query.mode, route=query.route
-    )
+    return trivial_bundle_one_point_obstruction(query.M, query.U, mode=query.mode)

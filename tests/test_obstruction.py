@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fibrestab import obstruction
 from fibrestab.complexes import (
     SimplicialComplex,
     barycentric_subdivision,
@@ -27,6 +28,8 @@ from fibrestab.obstruction import (
     NotAManifoldDim,
     NotClosed,
     StabilizationQuery,
+    _encode_group,
+    _interior_profile,
     _manifold_defect,
     _puncture_census,
     _witness,
@@ -328,29 +331,48 @@ def test_one_point_test_rejects_zero_dimensional_fibre():
         trivial_bundle_one_point_obstruction(cx("torus"), cx("point"))
 
 
-def _derived_punctured_profile(mname, uname):
-    m, u = cx(mname), cx(uname)
+def _product_profile(m, u):
+    """H(M x U) from the factors by the tensor/Tor formula."""
     pm, pu = homology(m, "Z"), homology(u, "Z")
-    dim = m.dimension + u.dimension
     groups = []
-    for k in range(dim + 1):
+    for k in range(m.dimension + u.dimension + 1):
         tensor, tor = kunneth_formula(pm, pu, k)
         groups.append(tensor.direct_sum(tor))
-    prof = HomologyProfile(ring="Z", groups=tuple(groups))
+    return HomologyProfile(ring="Z", groups=tuple(groups))
+
+
+def _derived_punctured_profile(mname, uname):
+    m, u = cx(mname), cx(uname)
     orientable = catalog_entry(mname).orientable and catalog_entry(uname).orientable
-    return punctured_profile_from_closed(prof, dim, orientable)
+    return punctured_profile_from_closed(
+        _product_profile(m, u), m.dimension + u.dimension, orientable
+    )
 
 
-@pytest.mark.parametrize("mname,uname", [("torus", "s1"), ("klein", "s1")])
+_ROUTE_PAIRS = [
+    (m, u)
+    for m in catalog_names()
+    for u in catalog_names()
+    if is_closed_pseudomanifold(cx(m))
+    and cx(u).dimension >= 1
+    and product_facet_count(cx(m), cx(u)) <= _PRODUCT_FACET_BUDGET
+]
+_CLOSED_PAIRS = [(m, u) for m, u in _ROUTE_PAIRS if u in CLOSED]
+
+
+@pytest.mark.parametrize("mname,uname", _CLOSED_PAIRS)
 def test_derived_route_agrees_with_direct_puncture(mname, uname):
-    # the Klein case exercises the non-orientable branch: the orientation
-    # Z/2 in degree 2 must turn into a free summand after puncturing
+    # the staircase product without its first top cell, and without the
+    # star of its first vertex, against the closed-manifold puncture rule
+    # the program applies above the budget; the non-orientable pairs
+    # exercise the branch where the orientation Z/2 in degree dim - 1 must
+    # turn into a free summand after puncturing
     derived = _derived_punctured_profile(mname, uname)
     e = product(cx(mname), cx(uname))
-    for v in (0, 13, 26):
-        direct = homology(puncture(e, v), "Z")
-        for k in range(e.dimension + 1):
-            assert direct.group(k) == derived.group(k), (mname, uname, v, k)
+    interior = _interior_profile(e)
+    star = homology(puncture(e, e.vertices()[0]), "Z")
+    for k in range(e.dimension + 1):
+        assert interior.group(k) == star.group(k) == derived.group(k), k
 
 
 def test_route_selection_and_derived_verdict():
@@ -379,39 +401,78 @@ def test_derived_route_with_bounded_fibre_keeps_profile():
     assert v.evidence[0]["group_E1"]["rank"] == 4
 
 
-def test_forced_routes_agree_on_verdict():
-    for mode in ("strong", "weak"):
-        direct = trivial_bundle_one_point_obstruction(
-            cx("klein"), cx("s1"), mode=mode, route="direct"
-        )
-        derived = trivial_bundle_one_point_obstruction(
-            cx("klein"), cx("s1"), mode=mode, route="derived"
-        )
-        assert direct.status == derived.status == OBSTRUCTED
-        assert direct.evidence[0]["degree"] == derived.evidence[0]["degree"]
-        assert direct.evidence[0]["group_E1"] == derived.evidence[0]["group_E1"]
-
-
-_ROUTE_PAIRS = [
-    (m, u)
-    for m in catalog_names()
-    for u in catalog_names()
-    if is_closed_pseudomanifold(cx(m))
-    and cx(u).dimension >= 1
-    and product_facet_count(cx(m), cx(u)) <= _PRODUCT_FACET_BUDGET
-]
+def _census_verdict(M, U, mode):
+    """(degree, group_E1) of the one-point test, with degree None when not
+    every kind of point of the staircase product leaves a witness."""
+    e = product(M, U)
+    witness = _witness(mode, e.dimension, U, homology(U, "Z"))
+    prof, all_bad = _puncture_census(
+        e, not is_closed_pseudomanifold(U), _product_profile(M, U), witness
+    )
+    k = witness(prof) if all_bad else None
+    return k, _encode_group(prof.group(k)) if k is not None else None
 
 
 @pytest.mark.parametrize("mode", ["strong", "weak"])
 @pytest.mark.parametrize("mname,uname", _ROUTE_PAIRS)
 def test_routes_agree_on_every_pair_within_budget(mname, uname, mode):
-    direct, derived = (
-        trivial_bundle_one_point_obstruction(cx(mname), cx(uname), mode=mode, route=r)
-        for r in ("direct", "derived")
-    )
-    assert direct.status == derived.status
-    (a,), (b,) = direct.evidence, derived.evidence
-    assert (a["degree"], a["group_E1"]) == (b["degree"], b["group_E1"])
+    # the route the input picks against the one it does not: a closed
+    # fibre's staircase puncture against the closed-manifold rule, and a
+    # fibre with boundary's H(E) against the staircase puncture census
+    M, U = cx(mname), cx(uname)
+    v = trivial_bundle_one_point_obstruction(M, U, mode=mode)
+    if uname in CLOSED:
+        assert v.route == "direct"
+        prof = _derived_punctured_profile(mname, uname)
+        k = _witness(mode, M.dimension + U.dimension, U, homology(U, "Z"))(prof)
+        want = k, _encode_group(prof.group(k)) if k is not None else None
+    else:
+        assert v.route == "derived"
+        want = _census_verdict(M, U, mode)
+    (ev,) = v.evidence
+    assert v.status == (NOT_OBSTRUCTED if want[0] is None else OBSTRUCTED)
+    assert (ev["degree"], ev["group_E1"]) == want
+
+
+_BOUNDARY_FIBRES = {u: cx(u) for u in BOUNDED} | {
+    f"{u}_subdivided": barycentric_subdivision(cx(u)) for u in ("interval", "disk")
+}
+_BOUNDARY_FIBRE_PAIRS = [
+    (m, u)
+    for m in CLOSED
+    for u, fibre in _BOUNDARY_FIBRES.items()
+    if product_facet_count(cx(m), fibre) <= _PRODUCT_FACET_BUDGET
+]
+
+
+@pytest.mark.parametrize("mode", ["strong", "weak"])
+@pytest.mark.parametrize("mname,uname", _BOUNDARY_FIBRE_PAIRS)
+def test_boundary_fibre_puncture_is_decided_by_h_of_e(mname, uname, mode):
+    # the census of the staircase product stays as the reference for the
+    # program's H(E)-only answer: a witness of H(E) is one at every point
+    M, U = cx(mname), _BOUNDARY_FIBRES[uname]
+    e = product(M, U)
+    prof_e = _product_profile(M, U)
+    witness = _witness(mode, e.dimension, U, homology(U, "Z"))
+    _, all_bad = _puncture_census(e, True, prof_e, witness)
+    assert all_bad == (witness(prof_e) is not None)
+    v = trivial_bundle_one_point_obstruction(M, U, mode=mode)
+    assert v.route == "derived"
+    assert v.obstructed == all_bad
+
+
+def test_a_fibre_with_boundary_builds_no_product(monkeypatch):
+    def refuse(*_):
+        raise AssertionError("a product was built")
+
+    assert product_facet_count(cx("torus"), cx("cylinder")) <= _PRODUCT_FACET_BUDGET
+    monkeypatch.setattr(obstruction, "product", refuse)
+    v = trivial_bundle_one_point_obstruction(cx("torus"), cx("cylinder"))
+    assert v.route == "derived"
+    assert v.status == OBSTRUCTED
+    # H_1(T^2 x cylinder) = Z^3, untouched by a boundary puncture
+    assert v.evidence[0]["degree"] == 1
+    assert v.evidence[0]["group_E1"]["rank"] == 3
 
 
 # ---------------------------------------------------------------------------
@@ -516,10 +577,9 @@ def test_closed_total_space_without_vertex_zero_gets_a_verdict():
 
 
 def test_direct_route_on_a_base_without_vertex_zero_gets_a_verdict():
-    plain = trivial_bundle_one_point_obstruction(cx("s1"), cx("s1"), route="direct")
-    shifted = trivial_bundle_one_point_obstruction(
-        _shifted(cx("s1")), cx("s1"), route="direct"
-    )
+    plain = trivial_bundle_one_point_obstruction(cx("s1"), cx("s1"))
+    shifted = trivial_bundle_one_point_obstruction(_shifted(cx("s1")), cx("s1"))
+    assert plain.route == shifted.route == "direct"
     assert plain.status == shifted.status == OBSTRUCTED
     assert shifted.evidence == plain.evidence
 
