@@ -401,6 +401,21 @@ def test_derived_route_with_bounded_fibre_keeps_profile():
     assert v.evidence[0]["group_E1"]["rank"] == 4
 
 
+def test_forced_routes_agree_on_verdict():
+    # klein x s1 takes the direct route; the closed-manifold rule the
+    # program applies above the budget must reach the same verdict
+    M, U = cx("klein"), cx("s1")
+    derived_prof = _derived_punctured_profile("klein", "s1")
+    for mode in ("strong", "weak"):
+        direct = trivial_bundle_one_point_obstruction(M, U, mode=mode)
+        assert direct.route == "direct"
+        witness = _witness(mode, M.dimension + U.dimension, U, homology(U, "Z"))
+        k = witness(derived_prof)
+        assert direct.status == OBSTRUCTED and k is not None
+        assert direct.evidence[0]["degree"] == k
+        assert direct.evidence[0]["group_E1"] == _encode_group(derived_prof.group(k))
+
+
 def _census_verdict(M, U, mode):
     """(degree, group_E1) of the one-point test, with degree None when not
     every kind of point of the staircase product leaves a witness."""
